@@ -28,20 +28,15 @@
 //! (the duplicate build is discarded — results are identical by
 //! construction, so either is safe to keep).
 //!
-//! ## Cross-compile promotion
+//! ## Cross-compile reuse
 //!
-//! A [`SharedFactsStore`] promotes this memoization from per-compile to
-//! service-wide: many compilations (of the same or different suites)
-//! attach one store via [`AnalysisCache::with_shared`], and a second
-//! compile of an already-seen program adopts the first compile's facts
-//! instead of rebuilding them. Entries are keyed by the *full* build
-//! identity — capability set, build budget, base-interner state, and
-//! resolved-program fingerprint — so an entry is only ever adopted by a
-//! compile that would have built the bit-identical facts itself; the
-//! store can therefore never change a report, only skip work. The store
-//! is LRU-bounded by entries and by approximate bytes, and its stats
-//! distinguish refused builds (budget-tripped or panicked — the
-//! [`SharedStats::refusals`] counter) from ordinary misses.
+//! An `AnalysisCache` lives for one compile. What outlives a compile is
+//! the [`LoopRecordStore`]: per-loop analysis outcomes under content
+//! keys ([`crate::incr::loop_keys`]) that a later compile splices
+//! instead of re-analyzing. Whole-program facts are deliberately not
+//! shared across compiles — their key is the printed post-inline
+//! program, which any one-line edit changes, and byte-identical text is
+//! already a loop-key match.
 
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
@@ -49,13 +44,13 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use apar_minifort::pretty::print_program;
 use apar_minifort::ResolvedProgram;
 
 use crate::alias::AliasInfo;
 use crate::callgraph::CallGraph;
+use crate::lru::SyncLru;
 use crate::summary::Summaries;
 use crate::symx::SymMap;
 use crate::Capabilities;
@@ -81,58 +76,21 @@ pub struct ProgramFacts {
     /// and alias facts degraded to their conservative forms. Sound to
     /// use, but the driver reports dependent loops as `Complexity`.
     pub budget_tripped: bool,
-    /// These facts are a *refusal*, not an analysis: the program's
-    /// fingerprint is quarantined in the shared store (its build
-    /// crash-looped or budget-tripped past the strike limit). The
-    /// driver skips dependent loops as `Quarantined` instead of
-    /// consuming the (empty, conservative) facts.
-    pub quarantined: bool,
 }
 
-impl ProgramFacts {
-    /// The structured refusal served for a quarantined fingerprint:
-    /// empty conservative facts flagged `quarantined` so consumers
-    /// refuse the loop instead of analyzing with them.
-    fn denied(sym: SymMap) -> ProgramFacts {
-        ProgramFacts {
-            cg: CallGraph::default(),
-            summaries: Summaries::default(),
-            alias: AliasInfo::default(),
-            sym,
-            build_ops: 0,
-            budget_tripped: true,
-            quarantined: true,
-        }
-    }
-}
-
-/// Counters of a [`SharedFactsStore`], as one consistent snapshot.
+/// Counters of a [`LoopRecordStore`], as one consistent snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SharedStats {
-    /// Lookups served from the store (a compile adopted another
-    /// compile's facts).
+pub struct LoopStoreStats {
+    /// Always 0: retained for the frozen benchmark crate; drop with the
+    /// next `benchmark` PR.
     pub hits: u64,
-    /// Lookups that built fresh facts which the store retained.
+    /// Always 0: retained for the frozen benchmark crate; drop with the
+    /// next `benchmark` PR.
     pub misses: u64,
-    /// Builds the store refused to retain: budget-tripped or panicked.
-    /// Structurally distinct from `misses` — a refused build is not a
-    /// cacheable unit of work, and recounting it as a miss would make
-    /// hit rates lie about pathological inputs.
-    pub refusals: u64,
-    /// Entries evicted by the LRU bounds.
+    /// Always 0: retained for the frozen benchmark crate; drop with the
+    /// next `benchmark` PR.
     pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-    /// Approximate resident bytes (printed-program length is the proxy
-    /// for an entry's footprint).
-    pub approx_bytes: u64,
-    /// Lookups answered from the quarantine ledger (a denied build was
-    /// served instead of a rebuild).
-    pub quarantine_hits: u64,
-    /// Fingerprints currently under active quarantine.
-    pub quarantined: u64,
-    /// Per-loop records spliced into a compile after verification (the
-    /// incremental-recompilation tier).
+    /// Per-loop records spliced into a compile after verification.
     pub loop_hits: u64,
     /// Per-loop lookups that found no record (the loop's content key
     /// was never published, changed, or was evicted).
@@ -142,312 +100,69 @@ pub struct SharedStats {
     /// was refused and the loop re-analyzed. A structured refusal, not
     /// a miss.
     pub loop_refusals: u64,
+    /// Per-loop records evicted by the entry bound.
+    pub loop_evictions: u64,
     /// Per-loop records currently resident.
     pub loop_entries: u64,
 }
 
-impl SharedStats {
+impl LoopStoreStats {
     /// Counter deltas `self - earlier` (for per-batch reporting);
-    /// `entries`/`approx_bytes` stay absolute — they are gauges.
-    pub fn since(&self, earlier: &SharedStats) -> SharedStats {
-        SharedStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            refusals: self.refusals - earlier.refusals,
-            evictions: self.evictions - earlier.evictions,
-            entries: self.entries,
-            approx_bytes: self.approx_bytes,
-            quarantine_hits: self.quarantine_hits - earlier.quarantine_hits,
-            quarantined: self.quarantined,
+    /// `loop_entries` stays absolute — it is a gauge.
+    pub fn since(&self, earlier: &LoopStoreStats) -> LoopStoreStats {
+        LoopStoreStats {
             loop_hits: self.loop_hits - earlier.loop_hits,
             loop_misses: self.loop_misses - earlier.loop_misses,
             loop_refusals: self.loop_refusals - earlier.loop_refusals,
+            loop_evictions: self.loop_evictions - earlier.loop_evictions,
             loop_entries: self.loop_entries,
+            ..LoopStoreStats::default()
         }
     }
 }
 
-/// One fingerprint's standing in the quarantine ledger.
+/// A per-loop record. The payload is opaque to this crate (the driver
+/// stores its own record type); the store only provides keyed
+/// retention, the LRU bound and counters.
+pub type LoopRecord = Arc<dyn Any + Send + Sync>;
+
+/// The cross-compile store of per-loop analysis records, keyed by loop
+/// content keys and LRU-bounded by entries. Many compilations (of the
+/// same or different suites) attach one store; a loop whose content key
+/// is resident splices the stored outcome instead of re-analyzing. Keys
+/// cover everything a loop's analysis observes, so a splice can never
+/// change a report, only skip work.
 #[derive(Debug)]
-struct QuarantineEntry {
-    /// Refused builds recorded against this fingerprint.
-    strikes: u32,
-    /// While set and in the future, lookups are denied outright. A
-    /// lapsed deadline grants a probation retry (strikes are kept, so
-    /// another refusal re-quarantines with a doubled backoff).
-    until: Option<Instant>,
-    /// Logical timestamp for bounding the ledger itself.
-    tick: u64,
-}
-
-/// Everything needed to rebuild a facts entry from scratch: the build
-/// identity (capabilities, budget, base interner names in insertion
-/// order) plus the printed program text. This is what the persistent
-/// store writes for the facts tier — a record is a build *instruction*
-/// replayed through the real builders at recovery, never build *output*
-/// adopted on trust, so a corrupt-but-checksum-valid record can at
-/// worst waste bounded startup time, not change a report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FactsProvenance {
-    pub caps: Capabilities,
-    pub build_budget: u64,
-    /// Base interner names in id order; re-interning them in order
-    /// reproduces the base state every build forks from.
-    pub base_names: Vec<String>,
-    /// Printed form of the resolved program the facts were built for.
-    pub text: String,
-}
-
-/// One resident entry of a [`SharedFactsStore`].
-#[derive(Debug)]
-struct StoredFacts {
-    facts: Arc<ProgramFacts>,
-    /// How to rebuild this entry (persisted by the durable store).
-    prov: Arc<FactsProvenance>,
-    /// Approximate footprint (printed-program bytes).
-    cost: u64,
-    /// Logical timestamp of the last lookup or insert (LRU order).
-    last_use: u64,
-}
-
-/// One resident per-loop record of the incremental tier. The payload is
-/// opaque to this crate (the driver stores its own record type); the
-/// store only provides keyed retention, LRU bounds and counters.
-struct StoredLoopRec {
-    rec: Arc<dyn Any + Send + Sync>,
-    /// Logical timestamp of the last lookup or insert (LRU order).
-    last_use: u64,
-}
-
-impl std::fmt::Debug for StoredLoopRec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoredLoopRec")
-            .field("last_use", &self.last_use)
-            .finish_non_exhaustive()
-    }
-}
-
-#[derive(Debug, Default)]
-struct SharedInner {
-    map: HashMap<u64, StoredFacts>,
-    tick: u64,
-    bytes: u64,
-    /// Strike/backoff ledger for fingerprints whose builds keep being
-    /// refused. Bounded separately from the facts map.
-    quarantine: HashMap<u64, QuarantineEntry>,
-    /// The incremental tier: per-loop analysis records keyed by loop
-    /// content keys. Bounded separately from the facts map (records are
-    /// small; the bound is entries, not bytes).
-    loops: HashMap<u64, StoredLoopRec>,
-}
-
-/// An eviction-bounded, cross-compile store of [`ProgramFacts`]: the
-/// per-compile [`AnalysisCache`] promoted to a service-wide resource.
-///
-/// Keys incorporate everything that determines a build's output —
-/// capability set, build budget, the base interner state, and the
-/// resolved-program fingerprint — so adoption across compiles is
-/// exactly as safe as adoption within one. Eviction is LRU over both an
-/// entry bound and an approximate byte bound; hitting either bound can
-/// only cost rebuild time, never change a report.
-#[derive(Debug)]
-pub struct SharedFactsStore {
-    inner: Mutex<SharedInner>,
-    cap_entries: u64,
-    cap_bytes: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    refusals: AtomicU64,
-    evictions: AtomicU64,
-    quarantine_hits: AtomicU64,
+pub struct LoopRecordStore {
+    recs: SyncLru<LoopRecord>,
     loop_hits: AtomicU64,
     loop_misses: AtomicU64,
     loop_refusals: AtomicU64,
-    /// Refusals before a fingerprint is quarantined. 0 (the default)
-    /// disables the quarantine entirely — plain compilers and existing
-    /// callers see the store behave exactly as before.
-    strike_limit: u32,
-    /// Base quarantine duration; doubles per strike past the limit.
-    backoff: Duration,
 }
 
-impl SharedFactsStore {
-    /// A store bounded to `cap_entries` resident programs and
-    /// `cap_bytes` approximate bytes (whichever trips first evicts).
-    pub fn bounded(cap_entries: usize, cap_bytes: usize) -> Self {
-        SharedFactsStore {
-            inner: Mutex::new(SharedInner::default()),
-            cap_entries: (cap_entries as u64).max(1),
-            cap_bytes: (cap_bytes as u64).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            refusals: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            quarantine_hits: AtomicU64::new(0),
+impl LoopRecordStore {
+    /// A store bounded to `cap` resident loop records.
+    pub fn bounded(cap: usize) -> Self {
+        LoopRecordStore {
+            recs: SyncLru::new(cap),
             loop_hits: AtomicU64::new(0),
             loop_misses: AtomicU64::new(0),
             loop_refusals: AtomicU64::new(0),
-            strike_limit: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Enables the failure quarantine: after `strike_limit` refused
-    /// builds of one fingerprint (panics or budget trips), lookups of
-    /// that fingerprint are denied outright for `backoff` (doubling per
-    /// further strike, capped at 1024×) instead of re-running the
-    /// crash-looping build. A successful build clears the fingerprint's
-    /// strikes. `strike_limit` 0 keeps the quarantine disabled.
-    pub fn with_quarantine(mut self, strike_limit: u32, backoff: Duration) -> Self {
-        self.strike_limit = strike_limit;
-        self.backoff = backoff;
-        self
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SharedInner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Looks up `key`, refreshing its LRU position on a hit.
-    fn get(&self, key: u64) -> Option<Arc<ProgramFacts>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.last_use = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.facts))
-            }
-            None => None,
-        }
-    }
-
-    /// Retains a freshly built entry (counted as the miss it resolved)
-    /// and evicts least-recently-used entries past either bound.
-    fn insert(&self, key: u64, facts: Arc<ProgramFacts>, prov: Arc<FactsProvenance>, cost: u64) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.lock();
-        // A successful build is proof the fingerprint recovered: its
-        // strike record (if any) is expunged.
-        inner.quarantine.remove(&key);
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(prev) = inner.map.insert(
-            key,
-            StoredFacts {
-                facts,
-                prov,
-                cost,
-                last_use: tick,
-            },
-        ) {
-            // Racing compiles built the same entry twice; keep one cost.
-            inner.bytes -= prev.cost;
-        }
-        inner.bytes += cost;
-        while inner.map.len() as u64 > self.cap_entries
-            || (inner.bytes > self.cap_bytes && inner.map.len() > 1)
-        {
-            let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, e)| e.last_use) else {
-                break;
-            };
-            if victim == key && inner.map.len() as u64 <= self.cap_entries {
-                // Never evict the entry just inserted for the byte
-                // bound alone — the caller holds it anyway.
-                break;
-            }
-            let e = inner.map.remove(&victim).expect("victim resident");
-            inner.bytes -= e.cost;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a build the store refused to retain (budget-tripped or
-    /// panicked): a structured `CacheRefusal`, not a miss. With the
-    /// quarantine enabled this is also a strike against `key`; at the
-    /// strike limit the fingerprint enters quarantine with an
-    /// exponentially growing backoff.
-    fn note_refusal(&self, key: u64) {
-        self.refusals.fetch_add(1, Ordering::Relaxed);
-        if self.strike_limit == 0 {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let limit = self.strike_limit;
-        let backoff = self.backoff;
-        let e = inner.quarantine.entry(key).or_insert(QuarantineEntry {
-            strikes: 0,
-            until: None,
-            tick,
-        });
-        e.strikes = e.strikes.saturating_add(1);
-        e.tick = tick;
-        if e.strikes >= limit {
-            let exp = (e.strikes - limit).min(10);
-            e.until = Some(Instant::now() + backoff.saturating_mul(1u32 << exp));
-        }
-        // The ledger itself stays bounded: hostile traffic minting
-        // endless one-strike fingerprints must not grow it without
-        // limit. Oldest strike records go first; active quarantines are
-        // refreshed by their own hits so they survive in practice.
-        let cap = (self.cap_entries * 4).max(64);
-        while inner.quarantine.len() as u64 > cap {
-            let Some((&victim, _)) = inner.quarantine.iter().min_by_key(|(_, e)| e.tick) else {
-                break;
-            };
-            inner.quarantine.remove(&victim);
-        }
-    }
-
-    /// Is `key` under active quarantine? Returns its strike count when
-    /// lookups should be denied. A lapsed backoff grants one probation
-    /// rebuild: the deadline is cleared but the strikes remain, so the
-    /// next refusal re-quarantines at double the backoff.
-    fn quarantine_check(&self, key: u64) -> Option<u32> {
-        if self.strike_limit == 0 {
-            return None;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let e = inner.quarantine.get_mut(&key)?;
-        match e.until {
-            Some(t) if Instant::now() < t => {
-                e.tick = tick;
-                self.quarantine_hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.strikes)
-            }
-            Some(_) => {
-                e.until = None;
-                None
-            }
-            None => None,
         }
     }
 
     /// Looks up a per-loop record by content key, refreshing its LRU
-    /// position. `None` is counted as a [`SharedStats::loop_misses`];
+    /// position. `None` is counted as a [`LoopStoreStats::loop_misses`];
     /// the caller must verify a returned record against the live loop
-    /// and then report the verdict via [`SharedFactsStore::note_loop_hit`]
-    /// (spliced) or [`SharedFactsStore::note_loop_refusal`] (discarded) —
+    /// and then report the verdict via [`LoopRecordStore::note_loop_hit`]
+    /// (spliced) or [`LoopRecordStore::note_loop_refusal`] (discarded) —
     /// a raw retrieval is not yet a hit.
-    pub fn loop_get(&self, key: u64) -> Option<Arc<dyn Any + Send + Sync>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.loops.get_mut(&key) {
-            Some(e) => {
-                e.last_use = tick;
-                Some(Arc::clone(&e.rec))
-            }
-            None => {
-                self.loop_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    pub fn loop_get(&self, key: u64) -> Option<LoopRecord> {
+        let rec = self.recs.lock().get(key).map(|r| Arc::clone(r));
+        if rec.is_none() {
+            self.loop_misses.fetch_add(1, Ordering::Relaxed);
         }
+        rec
     }
 
     /// Records a verified splice: a retrieved per-loop record passed
@@ -464,92 +179,35 @@ impl SharedFactsStore {
     }
 
     /// Retains a freshly analyzed loop's record under its content key,
-    /// evicting least-recently-used records past the bound (eight
-    /// records per facts-entry slot — loop records are far smaller than
-    /// program facts, and a program carries several loops per facts
-    /// entry).
-    pub fn loop_put(&self, key: u64, rec: Arc<dyn Any + Send + Sync>) {
-        let cap = self.cap_entries.saturating_mul(8).max(1);
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.loops.insert(key, StoredLoopRec { rec, last_use: tick });
-        while inner.loops.len() as u64 > cap {
-            let Some((&victim, _)) = inner.loops.iter().min_by_key(|(_, e)| e.last_use) else {
-                break;
-            };
-            if victim == key {
-                break;
-            }
-            inner.loops.remove(&victim);
-        }
+    /// evicting least-recently-used records past the bound.
+    pub fn loop_put(&self, key: u64, rec: LoopRecord) {
+        self.recs.lock().insert(key, rec);
     }
 
-    /// Snapshot of the facts tier as `(store key, provenance)` pairs,
-    /// for the durable store's append pass. Keys are advisory (they let
-    /// the persister skip records it already wrote); recovery never
-    /// trusts them — replay recomputes every key from live content.
-    pub fn facts_snapshot(&self) -> Vec<(u64, Arc<FactsProvenance>)> {
-        let inner = self.lock();
-        inner
-            .map
-            .iter()
-            .map(|(&k, e)| (k, Arc::clone(&e.prov)))
-            .collect()
-    }
-
-    /// Snapshot of the incremental tier as `(content key, record)`
-    /// pairs, for the durable store's append pass.
-    pub fn loop_snapshot(&self) -> Vec<(u64, Arc<dyn Any + Send + Sync>)> {
-        let inner = self.lock();
-        inner
-            .loops
-            .iter()
-            .map(|(&k, e)| (k, Arc::clone(&e.rec)))
-            .collect()
-    }
-
-    /// Fingerprints currently under active quarantine.
-    pub fn quarantined_count(&self) -> u64 {
-        let now = Instant::now();
-        let inner = self.lock();
-        inner
-            .quarantine
-            .values()
-            .filter(|e| e.until.is_some_and(|t| now < t))
-            .count() as u64
+    /// Snapshot of the resident `(content key, record)` pairs, for the
+    /// durable store's append pass.
+    pub fn loop_snapshot(&self) -> Vec<(u64, LoopRecord)> {
+        let recs = self.recs.lock();
+        recs.iter().map(|(k, r)| (k, Arc::clone(r))).collect()
     }
 
     /// Snapshot of the store's counters.
-    pub fn stats(&self) -> SharedStats {
-        let now = Instant::now();
-        let inner = self.lock();
-        SharedStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            refusals: self.refusals.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: inner.map.len() as u64,
-            approx_bytes: inner.bytes,
-            quarantine_hits: self.quarantine_hits.load(Ordering::Relaxed),
-            quarantined: inner
-                .quarantine
-                .values()
-                .filter(|e| e.until.is_some_and(|t| now < t))
-                .count() as u64,
+    pub fn stats(&self) -> LoopStoreStats {
+        let recs = self.recs.lock();
+        LoopStoreStats {
             loop_hits: self.loop_hits.load(Ordering::Relaxed),
             loop_misses: self.loop_misses.load(Ordering::Relaxed),
             loop_refusals: self.loop_refusals.load(Ordering::Relaxed),
-            loop_entries: inner.loops.len() as u64,
+            loop_evictions: recs.evictions(),
+            loop_entries: recs.len() as u64,
+            ..LoopStoreStats::default()
         }
     }
 }
 
 /// Memoizes `CallGraph::build` + `Summaries::build` + `AliasInfo::build`
 /// per resolved-program fingerprint. One cache serves one compilation
-/// (one capability set, one base interner); attaching a
-/// [`SharedFactsStore`] extends the same memoization across
-/// compilations.
+/// (one capability set, one base interner).
 #[derive(Debug)]
 pub struct AnalysisCache {
     caps: Capabilities,
@@ -563,10 +221,6 @@ pub struct AnalysisCache {
     build_budget: u64,
     /// Builds rejected from the map: budget-tripped or panicked.
     rejected: AtomicU64,
-    /// Cross-compile store this cache publishes to and adopts from,
-    /// with the precomputed key prefix binding entries to this cache's
-    /// capability set, budget, and base interner.
-    shared: Option<(Arc<SharedFactsStore>, u64)>,
     #[cfg(test)]
     panic_on_build: std::sync::atomic::AtomicBool,
 }
@@ -584,7 +238,6 @@ impl AnalysisCache {
             misses: AtomicU64::new(0),
             build_budget: u64::MAX,
             rejected: AtomicU64::new(0),
-            shared: None,
             #[cfg(test)]
             panic_on_build: std::sync::atomic::AtomicBool::new(false),
         }
@@ -595,82 +248,30 @@ impl AnalysisCache {
     /// instead of stalling the compile.
     pub fn with_build_budget(mut self, budget: u64) -> Self {
         self.build_budget = budget;
-        self.bind_shared();
         self
-    }
-
-    /// Attaches a cross-compile store: misses consult it before
-    /// building, retained builds are published to it. The store key
-    /// binds entries to this cache's capability set, build budget, and
-    /// base interner, so only a compile that would rebuild the same
-    /// facts bit-for-bit can adopt them.
-    pub fn with_shared(mut self, store: Arc<SharedFactsStore>) -> Self {
-        self.shared = Some((store, 0));
-        self.bind_shared();
-        self
-    }
-
-    /// (Re)computes the shared-key prefix from the current caps, budget,
-    /// and base interner.
-    fn bind_shared(&mut self) {
-        if let Some((_, prefix)) = &mut self.shared {
-            let mut h = DefaultHasher::new();
-            caps_bits(&self.caps).hash(&mut h);
-            self.build_budget.hash(&mut h);
-            for (_, name) in self.base_sym.interner.iter() {
-                name.hash(&mut h);
-            }
-            *prefix = h.finish();
-        }
     }
 
     /// Content fingerprint of a resolved program. Two programs with the
     /// same printed form analyze identically, so they share facts.
     pub fn fingerprint(rp: &ResolvedProgram) -> u64 {
-        Self::fingerprint_with_cost(rp).0
-    }
-
-    /// Fingerprint plus the printed length, the store's byte proxy.
-    fn fingerprint_with_cost(rp: &ResolvedProgram) -> (u64, u64) {
-        let text = print_program(&rp.program);
         let mut h = DefaultHasher::new();
-        text.hash(&mut h);
-        (h.finish(), text.len() as u64)
+        print_program(&rp.program).hash(&mut h);
+        h.finish()
     }
 
     /// Returns the facts for `rp`, building (and caching) on a miss.
     ///
     /// Poisoned-entry guard: a build that panics or trips the build
-    /// budget is never retained in the map (locally or in the shared
-    /// store — the store books it as a refusal, not a miss). The panic
-    /// is re-raised (the driver's per-loop sandbox contains it); a
-    /// budget-tripped build is returned uncached so its degraded facts
-    /// can serve exactly the loop that asked, while later lookups get a
-    /// fresh chance.
+    /// budget is never retained in the map. The panic is re-raised (the
+    /// driver's per-loop sandbox contains it); a budget-tripped build
+    /// is returned uncached so its degraded facts can serve exactly the
+    /// loop that asked, while later lookups get a fresh chance.
     pub fn facts(&self, rp: &ResolvedProgram) -> Arc<ProgramFacts> {
-        let (fp, cost) = Self::fingerprint_with_cost(rp);
-        if let Some(f) = self.lock().get(&fp) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(f);
+        let fp = Self::fingerprint(rp);
+        if let Some(f) = self.lookup(fp) {
+            return f;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some((store, prefix)) = &self.shared {
-            let key = shared_key(*prefix, fp);
-            if let Some(f) = store.get(key) {
-                // Another compile already built these facts; adopt them
-                // into the local map so later per-loop lookups stay off
-                // the store's lock.
-                return Arc::clone(self.lock().entry(fp).or_insert(f));
-            }
-            // Quarantined fingerprints are denied before any build
-            // runs: a crash-looping or budget-burning program must not
-            // re-burn the pool until its backoff lapses. The denial is
-            // deliberately NOT retained in the local map — once the
-            // quarantine ages out, the next lookup rebuilds.
-            if let Some(_strikes) = store.quarantine_check(key) {
-                return Arc::new(ProgramFacts::denied(self.base_sym.clone()));
-            }
-        }
         let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.build(rp)))
         {
             Ok(f) => f,
@@ -679,54 +280,31 @@ impl AnalysisCache {
                 // per-loop sandbox upstairs turn the panic into a
                 // structured `InternalError` skip.
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some((store, prefix)) = &self.shared {
-                    store.note_refusal(shared_key(*prefix, fp));
-                }
                 std::panic::resume_unwind(payload);
             }
         };
         if built.budget_tripped {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some((store, prefix)) = &self.shared {
-                store.note_refusal(shared_key(*prefix, fp));
-            }
             return Arc::new(built);
         }
-        let built = Arc::new(built);
-        let built = Arc::clone(self.lock().entry(fp).or_insert(built));
-        if let Some((store, prefix)) = &self.shared {
-            let prov = Arc::new(FactsProvenance {
-                caps: self.caps,
-                build_budget: self.build_budget,
-                base_names: self
-                    .base_sym
-                    .interner
-                    .iter()
-                    .map(|(_, name)| name.to_string())
-                    .collect(),
-                text: print_program(&rp.program),
-            });
-            store.insert(shared_key(*prefix, fp), Arc::clone(&built), prov, cost);
-        }
-        built
+        Arc::clone(self.lock().entry(fp).or_insert(Arc::new(built)))
     }
 
-    /// Adopt-only lookup for the facts-only degraded tier: returns the
-    /// facts for `rp` when they are already resident (locally or in the
-    /// shared store) and `None` otherwise — never builds. Misses cost
-    /// one fingerprint, nothing more.
+    /// Lookup-only access for the facts-only degraded tier: returns the
+    /// facts for `rp` when this compile already holds them and `None`
+    /// otherwise — never builds. Misses cost one fingerprint, nothing
+    /// more.
     pub fn cached_facts(&self, rp: &ResolvedProgram) -> Option<Arc<ProgramFacts>> {
-        let fp = Self::fingerprint(rp);
-        if let Some(f) = self.lock().get(&fp) {
+        self.lookup(Self::fingerprint(rp))
+    }
+
+    /// The resident entry for a fingerprint, counted as a hit.
+    fn lookup(&self, fp: u64) -> Option<Arc<ProgramFacts>> {
+        let hit = self.lock().get(&fp).map(Arc::clone);
+        if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(f));
         }
-        if let Some((store, prefix)) = &self.shared {
-            if let Some(f) = store.get(shared_key(*prefix, fp)) {
-                return Some(Arc::clone(self.lock().entry(fp).or_insert(f)));
-            }
-        }
-        None
+        hit
     }
 
     /// Seeds the cache with facts computed elsewhere (the driver's
@@ -762,17 +340,11 @@ impl AnalysisCache {
             sym,
             build_ops: ops.spent(),
             budget_tripped: ops.exceeded(),
-            quarantined: false,
         }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<ProgramFacts>>> {
         self.map.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The attached cross-compile store, if any.
-    pub fn shared_store(&self) -> Option<&Arc<SharedFactsStore>> {
-        self.shared.as_ref().map(|(s, _)| s)
     }
 
     /// Lookups served from the cache.
@@ -801,8 +373,7 @@ impl AnalysisCache {
     }
 }
 
-/// The capability set as a bit vector, for the shared-store key and
-/// the durable store's record encoding.
+/// The capability set as a bit vector, for the loop content keys.
 pub fn caps_bits(c: &Capabilities) -> u64 {
     [
         c.multilingual,
@@ -815,62 +386,6 @@ pub fn caps_bits(c: &Capabilities) -> u64 {
     ]
     .iter()
     .fold(0u64, |acc, &b| (acc << 1) | b as u64)
-}
-
-/// Inverse of [`caps_bits`]: reconstructs a capability set from its
-/// persisted bit vector. Bits beyond the seven defined capabilities are
-/// ignored (a stale-format record fails identity checks downstream).
-pub fn caps_from_bits(bits: u64) -> Capabilities {
-    let b = |i: u64| bits & (1 << i) != 0;
-    Capabilities {
-        multilingual: b(6),
-        interprocedural_noalias: b(5),
-        input_deck_ranges: b(4),
-        indirection_analysis: b(3),
-        extended_symbolic: b(2),
-        reshaped_access: b(1),
-        guarded_regions: b(0),
-    }
-}
-
-/// Rebuilds one facts entry from persisted provenance by replaying the
-/// real builders and publishing the result to `store` under a key
-/// recomputed from live content — the durable facts tier's recovery
-/// path. Total and trust-free: the text must round-trip through the
-/// front end bit-exactly (`print(frontend(text)) == text`), the build
-/// runs under the provenance's own budget inside the usual panic
-/// sandbox, and nothing from the record is adopted directly. Returns
-/// `false` (and publishes nothing) on any mismatch, parse failure,
-/// budget trip, or build panic.
-pub fn rebuild_facts(store: &Arc<SharedFactsStore>, prov: &FactsProvenance) -> bool {
-    let Ok(rp) = apar_minifort::frontend(&prov.text) else {
-        return false;
-    };
-    if print_program(&rp.program) != prov.text {
-        return false;
-    }
-    let mut base = SymMap::new();
-    for name in &prov.base_names {
-        base.interner.intern(name);
-    }
-    let cache = AnalysisCache::new(prov.caps, base)
-        .with_build_budget(prov.build_budget)
-        .with_shared(Arc::clone(store));
-    let facts =
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.facts(&rp))) {
-            Ok(f) => f,
-            Err(_) => return false,
-        };
-    !facts.budget_tripped && !facts.quarantined
-}
-
-/// Combines the cache-identity prefix with a program fingerprint into
-/// one store key.
-fn shared_key(prefix: u64, fp: u64) -> u64 {
-    let mut h = DefaultHasher::new();
-    prefix.hash(&mut h);
-    fp.hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -990,340 +505,68 @@ mod tests {
         "PROGRAM P\nCOMMON /C/ K\nK = 1\nCALL S\nEND\nSUBROUTINE S\nCOMMON /C/ M\nM = 2\nEND\n";
 
     #[test]
-    fn second_cache_adopts_shared_entry() {
+    fn cached_facts_looks_up_but_never_builds() {
         let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let a = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let fa = a.facts(&p);
-        let b = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let fb = b.facts(&p);
+        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new());
         assert!(
-            Arc::ptr_eq(&fa, &fb),
-            "second compile must adopt the first compile's entry"
+            cache.cached_facts(&p).is_none(),
+            "cold cache must not build"
         );
-        let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        // The adopting cache's own counters still record a local miss.
-        assert_eq!(b.misses(), 1);
-    }
-
-    #[test]
-    fn shared_entries_are_keyed_by_caps_budget_and_base_sym() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let base = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let f0 = base.facts(&p);
-        // Different capability set: must not adopt.
-        let caps = AnalysisCache::new(Capabilities::full(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        assert!(!Arc::ptr_eq(&f0, &caps.facts(&p)));
-        // Different build budget: must not adopt (a huge budget still
-        // builds identical facts here, but the key is conservative).
-        let budget = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store))
-            .with_build_budget(1 << 40);
-        assert!(!Arc::ptr_eq(&f0, &budget.facts(&p)));
-        // Different base interner: must not adopt.
-        let mut sym = SymMap::new();
-        sym.interner.intern("PRELUDE::X");
-        let based = AnalysisCache::new(Capabilities::polaris2008(), sym)
-            .with_shared(Arc::clone(&store));
-        assert!(!Arc::ptr_eq(&f0, &based.facts(&p)));
-        let s = store.stats();
-        assert_eq!(s.hits, 0, "no cross-identity adoption");
-        assert_eq!(s.misses, 4);
-    }
-
-    #[test]
-    fn lru_eviction_is_bounded_and_counted() {
-        let store = Arc::new(SharedFactsStore::bounded(2, 1 << 20));
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let a = rp("PROGRAM P\nX = 1.0\nEND\n");
-        let b = rp("PROGRAM P\nX = 2.0\nEND\n");
-        let c = rp("PROGRAM P\nX = 3.0\nEND\n");
-        cache.facts(&a);
-        cache.facts(&b);
-        // Refresh `a`, then overflow: `b` is now least recently used.
-        let fresh = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        fresh.facts(&a);
-        fresh.facts(&c);
-        let s = store.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.evictions, 1);
-        // `a` survived (refreshed), `b` did not.
-        let probe = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        probe.facts(&a);
-        assert_eq!(store.stats().hits, 2, "a still resident");
-        let probe2 = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        probe2.facts(&b);
-        assert_eq!(store.stats().evictions, 2, "b had to rebuild and evict again");
-    }
-
-    #[test]
-    fn byte_bound_evicts_but_keeps_newest() {
-        // A byte cap below a single program's footprint: the store keeps
-        // the newest entry (capacity one in practice) and evicts prior
-        // ones, never underflowing.
-        let store = Arc::new(SharedFactsStore::bounded(16, 1));
-        let a = rp("PROGRAM P\nX = 1.0\nEND\n");
-        let b = rp("PROGRAM P\nX = 2.0\nEND\n");
-        let c1 = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        c1.facts(&a);
-        let c2 = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        c2.facts(&b);
-        let s = store.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.evictions, 1);
-    }
-
-    #[test]
-    fn refused_builds_are_not_shared_misses() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store))
-            .with_build_budget(1);
+        assert_eq!((cache.misses(), cache.len()), (0, 0));
         let f = cache.facts(&p);
-        assert!(f.budget_tripped);
-        let s = store.stats();
-        assert_eq!(s.refusals, 1, "budget trip is a structured refusal");
-        assert_eq!(s.misses, 0, "refusal must not be recounted as a miss");
-        assert_eq!(s.entries, 0);
-    }
-
-    #[test]
-    fn panicked_build_is_a_shared_refusal() {
-        let p = rp("PROGRAM P\nX = 1.0\nEND\n");
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        cache.panic_on_build.store(true, Ordering::Relaxed);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.facts(&p)));
-        assert!(r.is_err());
-        let s = store.stats();
-        assert_eq!((s.refusals, s.misses, s.entries), (1, 0, 0));
-    }
-
-    #[test]
-    fn shared_stats_since_subtracts_counters_keeps_gauges() {
-        let a = SharedStats {
-            hits: 2,
-            misses: 3,
-            refusals: 1,
-            evictions: 0,
-            entries: 3,
-            approx_bytes: 100,
-            quarantine_hits: 1,
-            quarantined: 1,
-            loop_hits: 4,
-            loop_misses: 6,
-            loop_refusals: 1,
-            loop_entries: 5,
-        };
-        let b = SharedStats {
-            hits: 7,
-            misses: 4,
-            refusals: 1,
-            evictions: 2,
-            entries: 2,
-            approx_bytes: 80,
-            quarantine_hits: 4,
-            quarantined: 2,
-            loop_hits: 9,
-            loop_misses: 8,
-            loop_refusals: 3,
-            loop_entries: 4,
-        };
-        let d = b.since(&a);
-        assert_eq!(d.hits, 5);
-        assert_eq!(d.misses, 1);
-        assert_eq!(d.refusals, 0);
-        assert_eq!(d.evictions, 2);
-        assert_eq!(d.entries, 2);
-        assert_eq!(d.approx_bytes, 80);
-        assert_eq!(d.quarantine_hits, 3);
-        assert_eq!(d.quarantined, 2, "active-quarantine count is a gauge");
-        assert_eq!(d.loop_hits, 5);
-        assert_eq!(d.loop_misses, 2);
-        assert_eq!(d.loop_refusals, 2);
-        assert_eq!(d.loop_entries, 4, "loop-record count is a gauge");
-    }
-
-    #[test]
-    fn cached_facts_adopts_but_never_builds() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let cold = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        assert!(cold.cached_facts(&p).is_none(), "cold cache must not build");
-        assert_eq!(store.stats().misses, 0);
-        let f = cold.facts(&p);
-        // A second cache adopts through the store without building.
-        let warm = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let g = warm.cached_facts(&p).expect("adoptable");
+        let g = cache.cached_facts(&p).expect("resident after the build");
         assert!(Arc::ptr_eq(&f, &g));
     }
 
     #[test]
-    fn strikes_past_the_limit_quarantine_the_fingerprint() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(
-            SharedFactsStore::bounded(16, 1 << 20)
-                .with_quarantine(2, Duration::from_secs(3600)),
-        );
-        let make = || {
-            AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-                .with_shared(Arc::clone(&store))
-                .with_build_budget(1)
-        };
-        // Two refused builds: strikes 1 and 2 — at the limit, the
-        // second refusal activates the quarantine.
-        assert!(make().facts(&p).budget_tripped);
-        assert!(!make().facts(&p).quarantined, "second build still ran");
+    fn loop_store_counts_misses_evictions_and_verdicts() {
+        let store = LoopRecordStore::bounded(2);
+        assert!(store.loop_get(1).is_none());
+        for k in 1..=3 {
+            store.loop_put(k, Arc::new(k));
+        }
+        assert!(store.loop_get(1).is_none(), "1 was evicted by 3");
+        let rec = store.loop_get(3).expect("resident");
+        assert_eq!(rec.downcast_ref::<u64>(), Some(&3));
+        store.note_loop_hit();
+        store.note_loop_refusal();
         let s = store.stats();
-        assert_eq!(s.refusals, 2);
-        assert_eq!(s.quarantined, 1, "fingerprint is now quarantined");
-        // The third lookup is denied without building.
-        let denied = make().facts(&p);
-        assert!(denied.quarantined);
-        assert!(denied.budget_tripped, "denied facts are conservative");
-        let s = store.stats();
-        assert_eq!(s.refusals, 2, "no build ran, so no new refusal");
-        assert_eq!(s.quarantine_hits, 1);
-        assert_eq!(store.quarantined_count(), 1);
-    }
-
-    #[test]
-    fn quarantine_backoff_lapses_into_probation_then_rearms() {
-        let p = rp("PROGRAM P\nX = 1.0\nEND\n");
-        let store = Arc::new(
-            SharedFactsStore::bounded(16, 1 << 20).with_quarantine(1, Duration::from_millis(5)),
-        );
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        cache.panic_on_build.store(true, Ordering::Relaxed);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.facts(&p)));
-        assert!(r.is_err());
         assert_eq!(
-            store.stats().quarantined,
-            1,
-            "limit 1: the first refusal quarantines"
+            (
+                s.loop_misses,
+                s.loop_hits,
+                s.loop_refusals,
+                s.loop_evictions,
+                s.loop_entries
+            ),
+            (2, 1, 1, 1, 2)
         );
-        // While active, lookups are denied without running the build —
-        // the injected panic never fires.
-        let denied = cache.facts(&p);
-        assert!(denied.quarantined);
-        assert_eq!(store.stats().quarantine_hits, 1);
-        std::thread::sleep(Duration::from_millis(20));
-        // Backoff lapsed: the probation rebuild actually runs (and
-        // relapses) — strikes climb and the quarantine re-arms with a
-        // doubled backoff.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.facts(&p)));
-        assert!(r.is_err(), "probation rebuild ran the real build");
-        let s = store.stats();
-        assert_eq!(s.refusals, 2);
-        assert_eq!(s.quarantined, 1, "relapse re-quarantined");
+        assert_eq!(store.loop_snapshot().len(), 2);
     }
 
     #[test]
-    fn successful_build_expunges_strikes() {
-        let p = rp("PROGRAM P\nX = 1.0\nEND\n");
-        let q = rp("PROGRAM P\nX = 2.0\nEND\n");
-        // Entry cap 1 so `q` can evict `p` below, forcing a real
-        // rebuild of `p` after its success.
-        let store = Arc::new(
-            SharedFactsStore::bounded(1, 1 << 20).with_quarantine(2, Duration::from_secs(3600)),
-        );
-        let make = || {
-            AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-                .with_shared(Arc::clone(&store))
+    fn loop_stats_since_subtracts_counters_keeps_gauges() {
+        let a = LoopStoreStats {
+            loop_hits: 4,
+            loop_misses: 6,
+            loop_refusals: 1,
+            loop_evictions: 2,
+            loop_entries: 5,
+            ..LoopStoreStats::default()
         };
-        // Strike 1 of 2.
-        let faulty = make();
-        faulty.panic_on_build.store(true, Ordering::Relaxed);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faulty.facts(&p)));
-        assert_eq!(store.stats().quarantined, 0, "one strike of two");
-        // Recovery: a healthy build of the same fingerprint succeeds
-        // and expunges the strike record.
-        let healthy = make();
-        assert!(!healthy.facts(&p).quarantined);
-        healthy.facts(&q); // evicts p from the store (cap 1)
-        // Relapse: starts over at strike 1. Had the success not
-        // cleared the record, this second refusal would have hit the
-        // limit and quarantined.
-        let faulty2 = make();
-        faulty2.panic_on_build.store(true, Ordering::Relaxed);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faulty2.facts(&p)));
-        assert!(r.is_err(), "p really was evicted, so the build ran");
-        let s = store.stats();
-        assert_eq!(s.refusals, 2);
-        assert_eq!(s.quarantined, 0, "the success reset the count");
-    }
-
-    #[test]
-    fn caps_bits_round_trips_every_capability_set() {
-        for bits in 0..128u64 {
-            assert_eq!(caps_bits(&caps_from_bits(bits)), bits);
-        }
-        let polaris = Capabilities::polaris2008();
-        assert_eq!(caps_from_bits(caps_bits(&polaris)), polaris);
-    }
-
-    #[test]
-    fn rebuild_facts_replays_provenance_into_the_store() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&store));
-        let live = cache.facts(&p);
-        let snap = store.facts_snapshot();
-        assert_eq!(snap.len(), 1);
-        let (key, prov) = &snap[0];
-
-        // Replay into a fresh store: the entry lands under the same key
-        // with the same deterministic build ops.
-        let fresh = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        assert!(rebuild_facts(&fresh, prov));
-        let cache2 = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-            .with_shared(Arc::clone(&fresh));
-        let adopted = cache2.facts(&p);
-        assert_eq!(adopted.build_ops, live.build_ops);
-        assert_eq!(fresh.stats().hits, 1, "the recovered entry served the lookup");
-        assert_eq!(fresh.facts_snapshot()[0].0, *key, "same key from live content");
-
-        // Tampered text is refused outright: it no longer round-trips
-        // (or parses), so nothing is published.
-        let empty = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        let mut bad = (**prov).clone();
-        bad.text = format!("{}GARBAGE(", bad.text);
-        assert!(!rebuild_facts(&empty, &bad));
-        assert_eq!(empty.stats().entries, 0);
-    }
-
-    #[test]
-    fn zero_strike_limit_disables_quarantine_entirely() {
-        let p = rp(SRC_CALL);
-        let store = Arc::new(SharedFactsStore::bounded(16, 1 << 20));
-        for _ in 0..5 {
-            let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new())
-                .with_shared(Arc::clone(&store))
-                .with_build_budget(1);
-            let f = cache.facts(&p);
-            assert!(f.budget_tripped && !f.quarantined);
-        }
-        let s = store.stats();
-        assert_eq!(s.refusals, 5, "every build ran and was refused");
-        assert_eq!(s.quarantined, 0);
-        assert_eq!(s.quarantine_hits, 0);
+        let b = LoopStoreStats {
+            loop_hits: 9,
+            loop_misses: 8,
+            loop_refusals: 3,
+            loop_evictions: 5,
+            loop_entries: 4,
+            ..LoopStoreStats::default()
+        };
+        let d = b.since(&a);
+        assert_eq!(d.loop_hits, 5);
+        assert_eq!(d.loop_misses, 2);
+        assert_eq!(d.loop_refusals, 2);
+        assert_eq!(d.loop_evictions, 3);
+        assert_eq!(d.loop_entries, 4, "loop-record count is a gauge");
     }
 }

@@ -34,6 +34,7 @@ pub mod incr;
 pub mod induction;
 pub mod inline;
 pub mod loops;
+pub mod lru;
 pub mod privatize;
 pub mod ranges;
 pub mod reduction;
@@ -42,14 +43,12 @@ pub mod symx;
 
 pub use access::{AccessKind, ArrayAccess, LoopAccesses};
 pub use alias::AliasInfo;
-pub use cache::{
-    caps_bits, caps_from_bits, rebuild_facts, AnalysisCache, FactsProvenance, ProgramFacts,
-    SharedFactsStore, SharedStats,
-};
+pub use cache::{caps_bits, AnalysisCache, LoopRecordStore, LoopStoreStats, ProgramFacts};
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;
 pub use ddtest::{DdOutcome, Dependence, DependenceKind};
 pub use loops::{LoopForest, LoopId, LoopInfo, NestingMetrics};
+pub use lru::{BoundedLru, SyncLru};
 pub use symx::SymMap;
 
 /// Enabling techniques that may be switched on or off. The paper's §3

@@ -4,7 +4,8 @@
 //! the two-suite smoke set; `--all` measures every workload). Compiles
 //! the set twice through one service — cold then warm — and writes
 //! `BENCH_service.json`. Exits nonzero if the warm pass reports zero
-//! result-cache hits or any report diverges across warm/cold, worker
+//! result-cache hits, a second client sharing the loop-record store
+//! splices nothing, or any report diverges across warm/cold, worker
 //! counts, or a plain service-free compile.
 
 fn main() {
@@ -31,8 +32,8 @@ fn main() {
     println!("(artifact: {})", path.display());
     if !data.ok() {
         eprintln!(
-            "FAIL: warm_result_hits={} all_identical={}",
-            data.warm_result_hits, data.all_identical
+            "FAIL: warm_result_hits={} second_client_loop_hits={} all_identical={}",
+            data.warm_result_hits, data.second_client_loop_hits, data.all_identical
         );
         std::process::exit(1);
     }

@@ -214,9 +214,9 @@ pub fn measure_once(workers: usize) -> IncrBenchData {
         ..ServiceConfig::default()
     });
     let cold = service.compile_many(&reqs);
-    let before = service.facts_store().stats();
+    let before = service.loop_store().stats();
     let incr = service.compile_many(&edited_reqs);
-    let delta = service.facts_store().stats().since(&before);
+    let delta = service.loop_store().stats().since(&before);
 
     let rows: Vec<IncrBenchRow> = edited_reqs
         .iter()

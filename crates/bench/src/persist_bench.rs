@@ -55,7 +55,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// The torture corpus: three small distinct suites, each with a loop
-/// that calls a subroutine so the inliner populates the facts tier.
+/// that calls a subroutine so the records cover the inliner's path.
 pub fn corpus() -> Vec<SuiteRequest> {
     let alpha = "\
 PROGRAM PALPHA
@@ -145,7 +145,6 @@ pub struct PersistBenchData {
     /// Warm-restart phase: hits in the post-restart batch (3 = all).
     pub restart_hits: u64,
     /// Totals across every recovery in the run.
-    pub recovered_facts: u64,
     pub recovered_loops: u64,
     pub recovered_results: u64,
     pub recovery_refusals: u64,
@@ -171,7 +170,6 @@ impl PersistBenchData {
     }
 
     fn absorb_stats(&mut self, s: &StoreStats) {
-        self.recovered_facts += s.recovered_facts;
         self.recovered_loops += s.recovered_loops;
         self.recovered_results += s.recovered_results;
         self.recovery_refusals += s.recovery_refusals;
@@ -195,7 +193,6 @@ impl ToJson for PersistBenchData {
             ("divergences", self.divergences.to_json()),
             ("warm_hits", (self.warm_hits as usize).to_json()),
             ("restart_hits", (self.restart_hits as usize).to_json()),
-            ("recovered_facts", (self.recovered_facts as usize).to_json()),
             ("recovered_loops", (self.recovered_loops as usize).to_json()),
             (
                 "recovered_results",
@@ -227,9 +224,9 @@ fn service(workers: usize) -> CompileService {
     })
 }
 
-/// Seeds a clean store at `dir` and returns the three tier logs' bytes
+/// Seeds a clean store at `dir` and returns the two tier logs' bytes
 /// (the snapshot every torture cycle clones).
-fn seed_snapshot(dir: &Path) -> [Vec<u8>; 3] {
+fn seed_snapshot(dir: &Path) -> [Vec<u8>; 2] {
     let svc = service(2).with_store(dir);
     let batch = svc.compile_many(&corpus());
     assert!(
@@ -237,14 +234,7 @@ fn seed_snapshot(dir: &Path) -> [Vec<u8>; 3] {
         "snapshot seed must be cold"
     );
     drop(svc);
-    Tier::ALL.map(|t| {
-        let name = match t {
-            Tier::Facts => "facts.log",
-            Tier::Loops => "loops.log",
-            Tier::Results => "results.log",
-        };
-        fs::read(dir.join(name)).expect("seeded tier log")
-    })
+    Tier::ALL.map(|t| fs::read(dir.join(t.file_name())).expect("seeded tier log"))
 }
 
 /// One seeded mutation: kill-at-random-offset truncation, a flipped
@@ -362,15 +352,12 @@ pub fn torture(cycles: usize) -> PersistBenchData {
         } else {
             // Clone the clean snapshot, damage one tier, recover.
             fs::create_dir_all(&dir).expect("cycle dir");
-            for (tier, bytes) in ["facts.log", "loops.log", "results.log"]
-                .iter()
-                .zip(clean.iter())
-            {
+            for (i, (tier, bytes)) in Tier::ALL.iter().zip(clean.iter()).enumerate() {
                 let mut copy = bytes.clone();
-                if Tier::ALL[cycle % 3].file_name() == *tier {
+                if cycle % Tier::ALL.len() == i {
                     mutate(&mut rng, &mut copy);
                 }
-                fs::write(dir.join(tier), &copy).expect("write cycle log");
+                fs::write(dir.join(tier.file_name()), &copy).expect("write cycle log");
             }
             catch_unwind(AssertUnwindSafe(|| check_recovery(&dir, workers, &refs)))
         };
@@ -459,10 +446,9 @@ pub fn render(d: &PersistBenchData) -> String {
         ));
     }
     out.push_str(&format!(
-        "torture: {} warm hits, recovered f/l/r {}/{}/{}, {} refusals, \
+        "torture: {} warm hits, recovered l/r {}/{}, {} refusals, \
          {} append errors, {} compactions\n",
         d.warm_hits,
-        d.recovered_facts,
         d.recovered_loops,
         d.recovered_results,
         d.recovery_refusals,

@@ -82,8 +82,6 @@ pub struct ResilienceData {
     pub panic_compile_bound: usize,
     /// Suites under active quarantine when the soak ended.
     pub quarantined_suites_final: usize,
-    /// Facts-store quarantine refusal hits over the soak.
-    pub facts_quarantine_hits: u64,
     /// Scripted daemon phase verdict (REJECTED under hold, recovery
     /// after, deadline expiry over the wire, loop survives garbage).
     pub daemon_ok: bool,
@@ -139,10 +137,6 @@ impl ToJson for ResilienceData {
             (
                 "quarantined_suites_final",
                 self.quarantined_suites_final.to_json(),
-            ),
-            (
-                "facts_quarantine_hits",
-                self.facts_quarantine_hits.to_json(),
             ),
             ("daemon_ok", self.daemon_ok.to_json()),
             ("daemon_rejected", self.daemon_rejected.to_json()),
@@ -287,7 +281,6 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
         // multi-second soak can plausibly see.
         panic_compile_bound: quarantine_strikes + 8,
         quarantined_suites_final: 0,
-        facts_quarantine_hits: 0,
         daemon_ok: false,
         daemon_rejected: 0,
         wall_s: 0.0,
@@ -377,7 +370,6 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
     data.peak_pending = service.peak_pending();
     data.panic_source_max_compiles = panic_compiles.values().copied().max().unwrap_or(0);
     data.quarantined_suites_final = service.quarantined_suites();
-    data.facts_quarantine_hits = service.facts_store().stats().quarantine_hits;
 
     let (daemon_ok, daemon_rejected) = daemon_phase(&service);
     data.daemon_ok = daemon_ok;
@@ -415,11 +407,8 @@ pub fn render(d: &ResilienceData) -> String {
         d.max_pending
     ));
     out.push_str(&format!(
-        "quarantine: max compiles of one bad suite {} (bound {}), {} suites active at end, {} facts-quarantine hits\n",
-        d.panic_source_max_compiles,
-        d.panic_compile_bound,
-        d.quarantined_suites_final,
-        d.facts_quarantine_hits
+        "quarantine: max compiles of one bad suite {} (bound {}), {} suites active at end\n",
+        d.panic_source_max_compiles, d.panic_compile_bound, d.quarantined_suites_final
     ));
     out.push_str(&format!(
         "daemon phase: ok={} ({} rejected under hold)\n",

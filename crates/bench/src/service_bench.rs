@@ -3,9 +3,8 @@
 //! One [`CompileService`] compiles a set of suites twice — a cold pass
 //! (empty caches) and a warm pass (both cache tiers populated) — and
 //! the artifact records, per suite, the cold and warm wall seconds and
-//! their ratio, plus aggregate throughput, the shared facts-store
-//! counters (hits / misses / structured refusals / evictions), and the
-//! two verdicts the service's contract rests on:
+//! their ratio, plus aggregate throughput, a second client's loop-record
+//! splices, and the two verdicts the service's contract rests on:
 //!
 //! * **identity** — every warm report is bit-identical to its cold
 //!   report, to a one-worker service run, and to a plain service-free
@@ -50,21 +49,12 @@ pub struct ServiceBenchData {
     /// Result-cache hits the warm pass reported (must be nonzero).
     pub warm_result_hits: usize,
     /// A *second client* — fresh service, empty result cache, sharing
-    /// only the facts store — recompiling the same suites: its batch
-    /// wall seconds and the shared-tier hits it scored (whole-program
-    /// facts adoptions and per-loop record splices).
+    /// only the loop-record store — recompiling the same suites: its
+    /// batch wall seconds and the per-loop record splices it scored.
     pub second_client_wall_s: f64,
-    pub second_client_facts_hits: u64,
     pub second_client_loop_hits: u64,
     /// `second_client_wall_s / cold_wall_s`.
     pub second_client_over_cold: f64,
-    /// Shared facts-store lifetime counters.
-    pub facts_hits: u64,
-    pub facts_misses: u64,
-    /// Structured `CacheRefusal` count: budget-tripped or panicked
-    /// builds the cache refused to retain (not misses).
-    pub facts_refusals: u64,
-    pub facts_evictions: u64,
     /// `warm_wall_s / cold_wall_s`.
     pub warm_over_cold: f64,
     /// The headline: warm batch within 10% of the cold batch.
@@ -74,11 +64,12 @@ pub struct ServiceBenchData {
 }
 
 impl ServiceBenchData {
-    /// The CI contract: nonzero warm hits and full identity. (The 10%
-    /// headline is recorded in the artifact but not gated here — wall
-    /// clock on a loaded runner is not a correctness signal.)
+    /// The CI contract: nonzero warm hits, a second client that
+    /// splices the first one's loop records, and full identity. (The
+    /// 10% headline is recorded in the artifact but not gated here —
+    /// wall clock on a loaded runner is not a correctness signal.)
     pub fn ok(&self) -> bool {
-        self.warm_result_hits > 0 && self.all_identical
+        self.warm_result_hits > 0 && self.second_client_loop_hits > 0 && self.all_identical
     }
 }
 
@@ -106,10 +97,6 @@ impl ToJson for ServiceBenchData {
             ("warm_result_hits", self.warm_result_hits.to_json()),
             ("second_client_wall_s", self.second_client_wall_s.to_json()),
             (
-                "second_client_facts_hits",
-                self.second_client_facts_hits.to_json(),
-            ),
-            (
                 "second_client_loop_hits",
                 self.second_client_loop_hits.to_json(),
             ),
@@ -117,10 +104,6 @@ impl ToJson for ServiceBenchData {
                 "second_client_over_cold",
                 self.second_client_over_cold.to_json(),
             ),
-            ("facts_hits", self.facts_hits.to_json()),
-            ("facts_misses", self.facts_misses.to_json()),
-            ("facts_refusals", self.facts_refusals.to_json()),
-            ("facts_evictions", self.facts_evictions.to_json()),
             ("warm_over_cold", self.warm_over_cold.to_json()),
             ("warm_within_10pct", self.warm_within_10pct.to_json()),
             ("all_identical", self.all_identical.to_json()),
@@ -174,14 +157,14 @@ pub fn measure(reqs: &[SuiteRequest], workers: usize) -> ServiceBenchData {
     let cold = service.compile_many(reqs);
     let warm = service.compile_many(reqs);
 
-    // A second client: fresh result cache, shared facts store. Its
-    // compiles run, but each adopts the first client's analysis facts.
-    let second = CompileService::with_facts_store(
+    // A second client: fresh result cache, shared loop-record store.
+    // Its compiles run, but splice the first client's loop records.
+    let second = CompileService::with_loop_store(
         ServiceConfig {
             workers,
             ..ServiceConfig::default()
         },
-        std::sync::Arc::clone(service.facts_store()),
+        std::sync::Arc::clone(service.loop_store()),
     );
     let second_batch = second.compile_many(reqs);
 
@@ -211,7 +194,6 @@ pub fn measure(reqs: &[SuiteRequest], workers: usize) -> ServiceBenchData {
         })
         .collect();
 
-    let facts = service.facts_store().stats();
     let warm_over_cold = warm.stats.wall_s / cold.stats.wall_s.max(1e-9);
     ServiceBenchData {
         workers,
@@ -224,13 +206,8 @@ pub fn measure(reqs: &[SuiteRequest], workers: usize) -> ServiceBenchData {
         warm_suites_per_s: warm.stats.suites_per_s,
         warm_result_hits: warm.stats.result_hits,
         second_client_wall_s: second_batch.stats.wall_s,
-        second_client_facts_hits: second_batch.stats.facts.hits,
         second_client_loop_hits: second_batch.stats.facts.loop_hits,
         second_client_over_cold: second_batch.stats.wall_s / cold.stats.wall_s.max(1e-9),
-        facts_hits: facts.hits,
-        facts_misses: facts.misses,
-        facts_refusals: facts.refusals,
-        facts_evictions: facts.evictions,
         rows,
     }
 }
@@ -263,18 +240,12 @@ pub fn render(d: &ServiceBenchData) -> String {
         d.warm_within_10pct
     ));
     out.push_str(&format!(
-        "result hits (warm) {}  facts h/m/r/e {}/{}/{}/{}  identical {}\n",
-        d.warm_result_hits,
-        d.facts_hits,
-        d.facts_misses,
-        d.facts_refusals,
-        d.facts_evictions,
-        d.all_identical
+        "result hits (warm) {}  identical {}\n",
+        d.warm_result_hits, d.all_identical
     ));
     out.push_str(&format!(
-        "second client (fresh result cache, shared facts): {:.4}s, {} facts hits, {} loop splices, {:.4}× cold\n",
+        "second client (fresh result cache, shared loop records): {:.4}s, {} loop splices, {:.4}× cold\n",
         d.second_client_wall_s,
-        d.second_client_facts_hits,
         d.second_client_loop_hits,
         d.second_client_over_cold
     ));
@@ -290,11 +261,6 @@ mod tests {
         let d = measure(&smoke_requests(), 2);
         assert!(d.all_identical, "{:?}", d);
         assert_eq!(d.warm_result_hits, 2, "{:?}", d);
-        assert!(
-            d.second_client_facts_hits + d.second_client_loop_hits > 0,
-            "the second client adopts shared analysis (facts or loop records): {:?}",
-            d
-        );
         assert!(d.ok());
     }
 }

@@ -16,7 +16,7 @@ use crate::profile::CompilerProfile;
 use crate::report::{CompileReport, DegradeTier, PassId, SkipReason, SkippedLoop};
 use apar_analysis::access::{self, AccessKind};
 use apar_analysis::alias::AliasInfo;
-use apar_analysis::cache::{AnalysisCache, ProgramFacts, SharedFactsStore};
+use apar_analysis::cache::{AnalysisCache, LoopRecordStore, ProgramFacts};
 use apar_analysis::callgraph::CallGraph;
 use apar_analysis::constprop::{self, ConstProp};
 use apar_analysis::ddtest::{self, DdInput};
@@ -41,12 +41,12 @@ use apar_symbolic::OpCounter;
 #[derive(Clone, Debug, Default)]
 pub struct Compiler {
     pub profile: CompilerProfile,
-    /// Cross-compile analysis-facts store (the service layer's shared
-    /// cache). `None` — the default — keeps memoization per-compile.
-    /// Attaching a store never changes any report: entries are keyed by
-    /// the full build identity, so a compile only ever adopts facts it
-    /// would have rebuilt bit-for-bit.
-    pub shared_facts: Option<Arc<SharedFactsStore>>,
+    /// Cross-compile loop-record store (the service layer's shared
+    /// cache). `None` — the default — analyzes every loop. Attaching a
+    /// store never changes any report: records are keyed by everything
+    /// a loop's analysis observes, so a compile only ever splices an
+    /// outcome it would have recomputed bit-for-bit.
+    pub loop_store: Option<Arc<LoopRecordStore>>,
     /// Cooperative cancellation for this compile: checked at pass
     /// checkpoints (the watchdog's own trip sites). Expiry degrades the
     /// compile to a structured partial result — completed loops keep
@@ -172,12 +172,12 @@ impl Compiler {
         }
     }
 
-    /// This compiler with a cross-compile facts store attached: per-loop
-    /// interprocedural facts built here become adoptable by later
+    /// This compiler with a cross-compile loop-record store attached:
+    /// per-loop outcomes analyzed here become spliceable by later
     /// compiles sharing the store (and vice versa). Reports are
     /// bit-identical with or without it.
-    pub fn with_shared_facts(mut self, store: Arc<SharedFactsStore>) -> Self {
-        self.shared_facts = Some(store);
+    pub fn with_loop_store(mut self, store: Arc<LoopRecordStore>) -> Self {
+        self.loop_store = Some(store);
         self
     }
 
@@ -382,7 +382,7 @@ impl Compiler {
         // under fault injection (a splice would skip the injected
         // panic) and on degraded tiers (their outcomes are not full
         // analyses).
-        let splice_keys: Option<Vec<u64>> = if self.shared_facts.is_some()
+        let splice_keys: Option<Vec<u64>> = if self.loop_store.is_some()
             && self.degrade == DegradeTier::Full
             && self.profile.fault.is_none()
         {
@@ -410,12 +410,8 @@ impl Compiler {
         // interner growth) happens in the sequential merge below, in
         // loop order, which keeps reports bit-identical regardless of
         // thread count.
-        let mut cache = AnalysisCache::new(caps, sym.clone())
+        let cache = AnalysisCache::new(caps, sym.clone())
             .with_build_budget(self.profile.loop_op_budget.saturating_mul(32));
-        if let Some(store) = &self.shared_facts {
-            cache = cache.with_shared(Arc::clone(store));
-        }
-        let cache = cache;
         let base = cache.seed(
             &rp,
             ProgramFacts {
@@ -425,7 +421,6 @@ impl Compiler {
                 sym: sym.clone(),
                 build_ops: prelude_ops.spent(),
                 budget_tripped: false,
-                quarantined: false,
             },
         );
         // ---- Incremental splice (before the fan-out) ------------------------
@@ -438,7 +433,7 @@ impl Compiler {
         let mut slots: Vec<Option<LoopOutcome>> = Vec::new();
         slots.resize_with(n, || None);
         let mut was_spliced = vec![false; n];
-        if let (Some(keys), Some(store)) = (&splice_keys, &self.shared_facts) {
+        if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
             for (i, info) in forest.loops.iter().enumerate() {
                 let Some(rec) = store.loop_get(keys[i]) else {
                     continue;
@@ -527,7 +522,7 @@ impl Compiler {
             // for later compiles to splice. Nothing content-coupled to
             // the rest of the program (facts-build budget trips) or
             // non-analyses (panics, deadline expiries) is ever stored.
-            if let (Some(keys), Some(store)) = (&splice_keys, &self.shared_facts) {
+            if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
                 if !was_spliced[i] && outcome.cacheable {
                     if let Ok(a) = &outcome.result {
                         store.loop_put(
@@ -749,7 +744,7 @@ struct LoopCtx<'a> {
     /// The compile's cancellation token, checked at the watchdog's own
     /// trip sites.
     cancel: Option<&'a CancelToken>,
-    /// Facts-only tier: per-loop facts may be adopted but never built.
+    /// Facts-only tier: per-loop facts may be looked up but never built.
     facts_only: bool,
 }
 
@@ -1213,8 +1208,8 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     // replaces the per-loop CallGraph / Summaries / AliasInfo rebuilds
     // the sequential driver used to issue. The worker's interner adopts
     // the facts' recorded state so the `summaries` VarIds resolve.
-    // Under the facts-only tier the cache may only *adopt* facts that
-    // already exist — a miss skips the loop instead of building.
+    // Under the facts-only tier the cache may only hand out facts this
+    // compile already holds — a miss skips the loop instead of building.
     enter_pass(ctx, info, PassId::Others, pass);
     let facts: Arc<ProgramFacts> = match &arp {
         Some(srp) if ctx.facts_only => match ctx.cache.cached_facts(srp) {
@@ -1233,22 +1228,12 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
         Some(srp) => ctx.cache.facts(srp),
         None => Arc::clone(ctx.base),
     };
-    // Quarantined facts are a structured refusal from the shared
-    // store's crash-loop ledger: the loop is skipped, not analyzed.
-    if facts.quarantined {
-        return LoopOutcome {
-            charges,
-            sym: None,
-            cacheable: false,
-            result: Err(SkipReason::Quarantined),
-        };
-    }
     let mut sym = facts.sym.clone();
     // The facts build (summaries + alias) is billed where it runs —
     // against the cache's own 32x build budget — and never re-billed to
     // consuming watchdogs: a loop's op accounting is a pure function of
     // its own content, identical whether the facts came from a fresh
-    // build, a local hit, or a shared-store adoption. A build that
+    // build or a cache hit. A build that
     // tripped its own budget still poisons every consuming loop, but
     // that outcome is content-coupled to the whole program, so it is
     // never stored under the loop's content key.
@@ -2108,8 +2093,8 @@ mod tests {
         // Pin warm == cold == plain at a budget barely above the
         // loops' own content cost: any charge that depends on cache
         // state — e.g. re-billing the facts build to a consumer that
-        // hit the shared store — would trip the watchdog on one side
-        // only and flip a classification.
+        // found it cached — would trip the watchdog on one side only
+        // and flip a classification.
         let probe = compile(CALL_SRC, CompilerProfile::polaris2008());
         let max_ops = probe.loops.iter().map(|l| l.ops_spent).max().unwrap();
         let mut profile = CompilerProfile::polaris2008();
@@ -2122,13 +2107,13 @@ mod tests {
             "the margin covers each loop's own content cost"
         );
 
-        let store = Arc::new(SharedFactsStore::bounded(64, 8 << 20));
+        let store = Arc::new(LoopRecordStore::bounded(512));
         let cold = Compiler::new(profile.clone())
-            .with_shared_facts(Arc::clone(&store))
+            .with_loop_store(Arc::clone(&store))
             .compile_source("test", CALL_SRC)
             .expect("compile");
         let warm = Compiler::new(profile)
-            .with_shared_facts(Arc::clone(&store))
+            .with_loop_store(Arc::clone(&store))
             .compile_source("test", CALL_SRC)
             .expect("compile");
         assert_eq!(plain.report_signature(), cold.report_signature());

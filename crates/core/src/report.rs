@@ -126,10 +126,6 @@ pub enum SkipReason {
         /// The tier that was in force.
         tier: DegradeTier,
     },
-    /// The loop's unit facts are quarantined in the shared store: the
-    /// build crash-looped or budget-tripped repeatedly, so analysis is
-    /// refused until the quarantine's backoff expires.
-    Quarantined,
 }
 
 impl SkipReason {
@@ -143,7 +139,6 @@ impl SkipReason {
             SkipReason::NotEmittable { .. } => "not emittable",
             SkipReason::DeadlineExpired => "deadline expired",
             SkipReason::Degraded { .. } => "degraded",
-            SkipReason::Quarantined => "quarantined",
         }
     }
 }
@@ -258,15 +253,6 @@ impl CompileReport {
         self.skipped
             .iter()
             .filter(|s| matches!(s.reason, SkipReason::InternalError { .. }))
-            .count()
-    }
-
-    /// Loops refused because their unit facts are quarantined
-    /// (`SkipReason::Quarantined`).
-    pub fn quarantined_loops(&self) -> usize {
-        self.skipped
-            .iter()
-            .filter(|s| matches!(s.reason, SkipReason::Quarantined))
             .count()
     }
 

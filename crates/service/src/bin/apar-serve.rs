@@ -203,8 +203,8 @@ fn main() -> ExitCode {
         }
         let s = service.store_stats();
         eprintln!(
-            "apar-serve: store recovered {} facts, {} loops, {} results ({} refusals)",
-            s.recovered_facts, s.recovered_loops, s.recovered_results, s.recovery_refusals
+            "apar-serve: store recovered {} loops, {} results ({} refusals)",
+            s.recovered_loops, s.recovered_results, s.recovery_refusals
         );
     }
     let service = service;
@@ -261,8 +261,7 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "{} suites in {:.3}s ({:.1}/s): {} cold, {} hits, {} deduped, {} expired; \
-         facts {}h/{}m/{}r",
+        "{} suites in {:.3}s ({:.1}/s): {} cold, {} hits, {} deduped, {} expired",
         batch.stats.suites,
         batch.stats.wall_s,
         batch.stats.suites_per_s,
@@ -270,9 +269,6 @@ fn main() -> ExitCode {
         batch.stats.result_hits,
         batch.stats.deduped,
         batch.stats.deadline_expired,
-        batch.stats.facts.hits,
-        batch.stats.facts.misses,
-        batch.stats.facts.refusals,
     );
 
     let mut write_failures = 0usize;

@@ -59,25 +59,16 @@ pub struct ServeSummary {
 /// overloaded daemon is draining.
 fn health_line(service: &CompileService) -> String {
     let cfg = service.config();
+    let loops = service.loop_store().stats();
     let mut fields = vec![
         ("pending", service.pending().to_json()),
         ("peak_pending", service.peak_pending().to_json()),
         ("max_pending", cfg.max_pending.to_json()),
         ("overloaded", Json::Bool(service.overloaded())),
         ("quarantined_suites", service.quarantined_suites().to_json()),
-        (
-            "quarantined_facts",
-            service.facts_store().quarantined_count().to_json(),
-        ),
         ("result_entries", service.result_cache_len().to_json()),
-        (
-            "facts_entries",
-            service.facts_store().stats().entries.to_json(),
-        ),
-        (
-            "loop_entries",
-            service.facts_store().stats().loop_entries.to_json(),
-        ),
+        ("loop_entries", loops.loop_entries.to_json()),
+        ("loop_evictions", loops.loop_evictions.to_json()),
     ];
     // The store block is the same canonical field list STATS and batch
     // reports use ([`crate::store::StoreStats::fields`]) — one source,
@@ -310,6 +301,8 @@ mod tests {
             "\"max_pending\":64",
             "\"overloaded\":false",
             "\"quarantined_suites\":0",
+            "\"loop_entries\":0",
+            "\"loop_evictions\":0",
             "\"store_enabled\":false",
             "\"recovery_refusals\":0",
             "\"store_bytes\":0",

@@ -7,10 +7,9 @@
 //! suites ([`CompileService::compile_many`]), fans compiles out across a
 //! bounded worker pool, and keeps two caches alive *across* compiles:
 //!
-//! * a shared [`SharedFactsStore`] (the `AnalysisCache` promoted from
-//!   per-compile to cross-compile), keyed by the full build identity —
-//!   capabilities, op budget, base interner, resolved-program
-//!   fingerprint — so adopting an entry can never change a report;
+//! * a shared [`LoopRecordStore`] of per-loop analysis records, keyed
+//!   by everything a loop's analysis observes, so splicing a record can
+//!   never change a report;
 //! * a suite-level **result cache** keyed by raw source bytes plus the
 //!   compile-relevant profile identity (everything except `threads`,
 //!   which reports are invariant to), so recompiling an already-seen
@@ -35,8 +34,8 @@
 //! queue with an explicit **shed policy** ([`Served::Rejected`]) and a
 //! high/low **watermark** pair that also picks a graceful
 //! **degradation tier** (full → facts-only → parse-only,
-//! [`Served::Degraded`]); and suites (or analysis fingerprints) whose
-//! builds crash-loop are **quarantined** with strike counting and
+//! [`Served::Degraded`]); and suites whose builds crash-loop are
+//! **quarantined** with strike counting and
 //! exponential backoff ([`Served::Quarantined`]). Only full,
 //! non-degraded responses enter the result cache, so cached answers
 //! stay bit-identical to plain compiles.
@@ -53,9 +52,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use apar_analysis::{
-    caps_bits, caps_from_bits, rebuild_facts, FactsProvenance, SharedFactsStore, SharedStats,
-};
+use apar_analysis::cache::LoopRecord;
+use apar_analysis::{LoopRecordStore, LoopStoreStats, SyncLru};
 use apar_core::jsonio::{Json, ToJson};
 use apar_core::{
     CancelToken, CompileResult, Compiler, CompilerProfile, DegradeTier, EmitResult, SplicedLoop,
@@ -115,11 +113,8 @@ pub struct ServiceConfig {
     /// Also run the source-to-source backend and keep the emitted
     /// artifact ([`SuiteArtifact::Emitted`]).
     pub emit: bool,
-    /// Shared facts store: maximum retained entries.
-    pub facts_entries: usize,
-    /// Shared facts store: approximate byte bound (printed-program
-    /// length as the cost proxy).
-    pub facts_bytes: usize,
+    /// Loop-record store: maximum retained per-loop records.
+    pub loop_entries: usize,
     /// Suite result cache: maximum retained entries.
     pub result_entries: usize,
     /// Bounded pending queue: a batch whose compiles would push the
@@ -136,8 +131,8 @@ pub struct ServiceConfig {
     /// boundary). Between low and high, compiles run facts-only.
     pub low_watermark: usize,
     /// Failed/panicking compiles of one suite before it is quarantined
-    /// (answered from the ledger without compiling). 0 disables both
-    /// the suite quarantine and the facts-store quarantine.
+    /// (answered from the ledger without compiling). 0 disables the
+    /// quarantine.
     pub quarantine_strikes: u32,
     /// Base quarantine duration in milliseconds; doubles per strike
     /// past the limit.
@@ -150,8 +145,7 @@ impl Default for ServiceConfig {
             profile: CompilerProfile::polaris2008(),
             workers: 4,
             emit: false,
-            facts_entries: 256,
-            facts_bytes: 64 << 20,
+            loop_entries: 2048,
             result_entries: 256,
             max_pending: 64,
             shed: ShedPolicy::OldestFirst,
@@ -166,7 +160,7 @@ impl Default for ServiceConfig {
 /// How a suite in a batch was served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
-    /// Compiled from scratch (possibly adopting shared analysis facts).
+    /// Compiled from scratch (possibly splicing stored loop records).
     Cold,
     /// Answered from the cross-batch result cache — no compile ran.
     CacheHit,
@@ -180,9 +174,8 @@ pub enum Served {
     /// Shed by admission control: the pending queue was full. No
     /// compile ran.
     Rejected,
-    /// The suite (or its analysis fingerprint) is quarantined after
-    /// repeated failed builds; answered from the strike ledger (or a
-    /// report whose loops were refused) without burning the pool.
+    /// The suite is quarantined after repeated failed builds; answered
+    /// from the strike ledger without burning the pool.
     Quarantined,
     /// Compiled at a degraded tier (facts-only or parse-only) under
     /// overload pressure. The artifact says which tier. Not cached.
@@ -289,7 +282,7 @@ pub struct ServiceStats {
     pub rejected: usize,
     /// Requests whose deadline expired mid-compile.
     pub deadline_expired: usize,
-    /// Requests refused by a quarantine (suite ledger or facts store).
+    /// Requests refused by the suite quarantine ledger.
     pub quarantined: usize,
     /// Requests compiled at a degraded tier.
     pub degraded: usize,
@@ -300,11 +293,9 @@ pub struct ServiceStats {
     pub quarantined_suites: usize,
     /// Result-cache entries evicted by the LRU bound.
     pub result_evictions: u64,
-    /// Shared facts-store counters: hits, misses, structured
-    /// [`CacheRefusal`](SharedStats::refusals) count (budget-tripped or
-    /// panicked builds the cache refused to retain — *not* misses),
-    /// evictions, and residency gauges.
-    pub facts: SharedStats,
+    /// Loop-record store counters. The field keeps its old name for
+    /// the frozen benchmark crate; rename with the next `benchmark` PR.
+    pub facts: LoopStoreStats,
     /// Durable-store counters (zeroed/disabled when no store is
     /// attached). Batch stats carry the delta for the batch; cumulative
     /// stats carry lifetime values including recovery.
@@ -332,18 +323,11 @@ impl ToJson for ServiceStats {
             ("pending_peak", self.pending_peak.to_json()),
             ("quarantined_suites", self.quarantined_suites.to_json()),
             ("result_evictions", self.result_evictions.to_json()),
-            ("facts_hits", self.facts.hits.to_json()),
-            ("facts_misses", self.facts.misses.to_json()),
-            ("facts_refusals", self.facts.refusals.to_json()),
-            ("facts_evictions", self.facts.evictions.to_json()),
-            ("facts_entries", self.facts.entries.to_json()),
-            ("facts_approx_bytes", self.facts.approx_bytes.to_json()),
-            ("facts_quarantine_hits", self.facts.quarantine_hits.to_json()),
-            ("facts_quarantined", self.facts.quarantined.to_json()),
             ("loop_hits", self.facts.loop_hits.to_json()),
             ("loop_misses", self.facts.loop_misses.to_json()),
             ("loop_refusals", self.facts.loop_refusals.to_json()),
             ("loop_entries", self.facts.loop_entries.to_json()),
+            ("loop_evictions", self.facts.loop_evictions.to_json()),
             ("wall_s", self.wall_s.to_json()),
             ("suites_per_s", self.suites_per_s.to_json()),
             ("per_suite_wall_s", self.per_suite_wall_s.to_json()),
@@ -364,64 +348,75 @@ pub struct Batch {
     pub stats: ServiceStats,
 }
 
-/// LRU-bounded suite result cache.
-struct ResultCache {
-    map: HashMap<u64, (Arc<SuiteArtifact>, u64)>,
-    tick: u64,
-    cap: usize,
-    evictions: u64,
-}
-
-impl ResultCache {
-    fn new(cap: usize) -> Self {
-        ResultCache {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<SuiteArtifact>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|(v, last)| {
-            *last = tick;
-            Arc::clone(v)
-        })
-    }
-
-    fn insert(&mut self, key: u64, value: Arc<SuiteArtifact>) {
-        self.tick += 1;
-        self.map.insert(key, (value, self.tick));
-        while self.map.len() > self.cap {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(k, _)| *k)
-                .expect("nonempty over cap");
-            self.map.remove(&oldest);
-            self.evictions += 1;
-        }
-    }
-}
-
-/// One suite's strike record in the service quarantine ledger.
+/// One suite's strike record in the quarantine ledger.
 #[derive(Clone, Copy, Debug)]
 struct SuiteStrikes {
     strikes: u32,
     /// Active quarantine expiry; `None` = probation (strikes kept, one
     /// compile allowed) or not yet quarantined.
     until: Option<Instant>,
-    tick: u64,
 }
 
-/// The bounded suite quarantine ledger (keys are suite keys).
-#[derive(Default)]
-struct SuiteQuarantine {
-    map: HashMap<u64, SuiteStrikes>,
-    tick: u64,
+/// The bounded suite quarantine ledger (keys are suite keys): strike
+/// counting, exponential backoff and probation. It covers every way a
+/// build can crash-loop — a contained panic in any pass, the facts
+/// build included, strikes the suite that triggered it.
+struct StrikeLedger {
+    records: SyncLru<SuiteStrikes>,
+    /// Failed builds before a suite is quarantined; 0 disables the
+    /// ledger.
+    limit: u32,
+    /// Base quarantine duration; doubles per strike past the limit.
+    backoff: Duration,
+}
+
+impl StrikeLedger {
+    /// `Some(strikes)` while `key`'s quarantine is active; a lapsed
+    /// backoff downgrades to probation (strikes kept, this compile
+    /// allowed).
+    fn check(&self, key: u64) -> Option<u32> {
+        let mut records = self.records.lock();
+        let e = records.get(key)?;
+        match e.until {
+            Some(t) if Instant::now() < t => Some(e.strikes),
+            Some(_) => {
+                e.until = None;
+                None
+            }
+            None => None,
+        }
+    }
+
+    /// Records a failed build (contained panic) against a suite;
+    /// reaching the strike limit quarantines it with exponential
+    /// backoff (doubling per strike past the limit, capped at 1024×).
+    fn strike(&self, key: u64) {
+        if self.limit == 0 {
+            return;
+        }
+        let mut records = self.records.lock();
+        let strikes = records.get(key).map_or(0, |e| e.strikes) + 1;
+        let until = (strikes >= self.limit).then(|| {
+            let exp = (strikes - self.limit).min(10);
+            Instant::now() + self.backoff.saturating_mul(1u32 << exp)
+        });
+        records.insert(key, SuiteStrikes { strikes, until });
+    }
+
+    /// A fully clean compile expunges the suite's strike record.
+    fn clear(&self, key: u64) {
+        self.records.lock().remove(key);
+    }
+
+    /// Suites currently under active quarantine.
+    fn active(&self) -> usize {
+        let now = Instant::now();
+        let records = self.records.lock();
+        records
+            .iter()
+            .filter(|(_, e)| e.until.is_some_and(|t| now < t))
+            .count()
+    }
 }
 
 /// RAII occupancy of pending-queue slots without running compiles —
@@ -444,16 +439,24 @@ impl Drop for AdmissionHold<'_> {
 /// daemon loop and library callers.
 pub struct CompileService {
     config: ServiceConfig,
-    facts: Arc<SharedFactsStore>,
-    results: Mutex<ResultCache>,
-    /// Durable three-tier store; `None` = memory-only service.
+    /// The compile-relevant profile identity, hashed once at
+    /// construction: the profile with `threads` normalised away
+    /// (reports are thread-invariant, so worker width must not fragment
+    /// the cache) plus the emission mode. Persisted with result
+    /// records: a restarted service with a different profile or
+    /// emission mode refuses the record (`refused_identity`) instead of
+    /// replaying a compile that could not match.
+    profile_id: u64,
+    loops: Arc<LoopRecordStore>,
+    results: SyncLru<Arc<SuiteArtifact>>,
+    /// Durable two-tier store; `None` = memory-only service.
     store: Option<PersistentStore>,
     /// Result-record payloads retained for compaction rewrites (the
     /// result cache itself holds artifacts, not sources, so compaction
     /// could not otherwise rebuild the log). FIFO-bounded.
     persisted_results: Mutex<Vec<(u64, Json)>>,
     /// Suites struck out by repeated failed builds.
-    suite_quarantine: Mutex<SuiteQuarantine>,
+    strikes: StrikeLedger,
     /// Compiles admitted (or capacity held) but not yet finished.
     pending: AtomicUsize,
     peak_pending: AtomicUsize,
@@ -477,30 +480,34 @@ pub struct CompileService {
 
 impl CompileService {
     pub fn new(config: ServiceConfig) -> Self {
-        let facts = Arc::new(
-            SharedFactsStore::bounded(config.facts_entries, config.facts_bytes)
-                .with_quarantine(
-                    config.quarantine_strikes,
-                    Duration::from_millis(config.quarantine_backoff_ms),
-                ),
-        );
-        Self::with_facts_store(config, facts)
+        let loops = Arc::new(LoopRecordStore::bounded(config.loop_entries));
+        Self::with_loop_store(config, loops)
     }
 
-    /// A service sharing a caller-owned facts store — how several
+    /// A service sharing a caller-owned loop-record store — how several
     /// service instances (tenants, or a fresh client with an empty
     /// result cache) pool their analysis work. The config's
-    /// `facts_entries`/`facts_bytes` are ignored; the store keeps the
-    /// bounds it was built with.
-    pub fn with_facts_store(config: ServiceConfig, facts: Arc<SharedFactsStore>) -> Self {
-        let results = Mutex::new(ResultCache::new(config.result_entries));
+    /// `loop_entries` is ignored; the store keeps the bound it was
+    /// built with.
+    pub fn with_loop_store(config: ServiceConfig, loops: Arc<LoopRecordStore>) -> Self {
+        let mut norm = config.profile.clone();
+        norm.threads = 1;
+        let mut h = DefaultHasher::new();
+        format!("{:?}", norm).hash(&mut h);
+        config.emit.hash(&mut h);
         CompileService {
-            config,
-            facts,
-            results,
+            profile_id: h.finish(),
+            loops,
+            results: SyncLru::new(config.result_entries),
             store: None,
             persisted_results: Mutex::new(Vec::new()),
-            suite_quarantine: Mutex::new(SuiteQuarantine::default()),
+            // The ledger is bounded like everything else in the service.
+            strikes: StrikeLedger {
+                records: SyncLru::new((config.result_entries * 4).max(64)),
+                limit: config.quarantine_strikes,
+                backoff: Duration::from_millis(config.quarantine_backoff_ms),
+            },
+            config,
             pending: AtomicUsize::new(0),
             peak_pending: AtomicUsize::new(0),
             overload_latch: AtomicBool::new(false),
@@ -560,17 +567,12 @@ impl CompileService {
 
     /// Suites currently under active quarantine.
     pub fn quarantined_suites(&self) -> usize {
-        let now = Instant::now();
-        let q = self.suite_quarantine.lock().expect("suite quarantine lock");
-        q.map
-            .values()
-            .filter(|e| e.until.is_some_and(|t| now < t))
-            .count()
+        self.strikes.active()
     }
 
     /// Entries resident in the suite result cache.
     pub fn result_cache_len(&self) -> usize {
-        self.results.lock().expect("result cache lock").map.len()
+        self.results.lock().len()
     }
 
     /// Seconds since the service was created (the daemon's `HEALTH`
@@ -579,86 +581,14 @@ impl CompileService {
         self.created.elapsed().as_secs_f64()
     }
 
-    /// Ledger answer for one suite key: `Some(strikes)` while the
-    /// quarantine is active; a lapsed backoff downgrades to probation
-    /// (strikes kept, this compile allowed).
-    fn suite_quarantine_check(&self, key: u64) -> Option<u32> {
-        if self.config.quarantine_strikes == 0 {
-            return None;
-        }
-        let mut q = self.suite_quarantine.lock().expect("suite quarantine lock");
-        q.tick += 1;
-        let tick = q.tick;
-        let e = q.map.get_mut(&key)?;
-        match e.until {
-            Some(t) if Instant::now() < t => {
-                e.tick = tick;
-                Some(e.strikes)
-            }
-            Some(_) => {
-                e.until = None;
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Record a failed build (contained panic) against a suite;
-    /// reaching the strike limit quarantines it with exponential
-    /// backoff (doubling per strike past the limit, capped at 1024×).
-    fn note_suite_failure(&self, key: u64) {
-        let limit = self.config.quarantine_strikes;
-        if limit == 0 {
-            return;
-        }
-        let backoff = Duration::from_millis(self.config.quarantine_backoff_ms);
-        let mut q = self.suite_quarantine.lock().expect("suite quarantine lock");
-        q.tick += 1;
-        let tick = q.tick;
-        let e = q.map.entry(key).or_insert(SuiteStrikes {
-            strikes: 0,
-            until: None,
-            tick,
-        });
-        e.strikes += 1;
-        e.tick = tick;
-        if e.strikes >= limit {
-            let exp = (e.strikes - limit).min(10);
-            e.until = Some(Instant::now() + backoff.saturating_mul(1u32 << exp));
-        }
-        // The ledger is bounded like everything else in the service.
-        let cap = (self.config.result_entries * 4).max(64);
-        while q.map.len() > cap {
-            let oldest = q
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k)
-                .expect("nonempty over cap");
-            q.map.remove(&oldest);
-        }
-    }
-
-    /// A fully clean compile expunges the suite's strike record.
-    fn note_suite_success(&self, key: u64) {
-        if self.config.quarantine_strikes == 0 {
-            return;
-        }
-        self.suite_quarantine
-            .lock()
-            .expect("suite quarantine lock")
-            .map
-            .remove(&key);
-    }
-
     pub fn config(&self) -> &ServiceConfig {
         &self.config
     }
 
-    /// The shared analysis-facts store (for inspection in tests and
-    /// benchmarks).
-    pub fn facts_store(&self) -> &Arc<SharedFactsStore> {
-        &self.facts
+    /// The shared loop-record store (for inspection in tests and
+    /// benchmarks, and for handing to a second service).
+    pub fn loop_store(&self) -> &Arc<LoopRecordStore> {
+        &self.loops
     }
 
     /// Attaches a durable store at `dir` and recovers whatever state
@@ -697,46 +627,20 @@ impl CompileService {
             .and_then(|s| s.read_only_reason().map(str::to_string))
     }
 
-    /// The compile-relevant profile identity persisted with result
-    /// records: everything [`CompileService::suite_key`] hashes except
-    /// the source. A restarted service with a different profile or
-    /// emission mode refuses the record (`refused_identity`) instead of
-    /// replaying a compile that could not match.
-    fn profile_id(&self) -> u64 {
-        let mut norm = self.config.profile.clone();
-        norm.threads = 1;
-        let mut h = DefaultHasher::new();
-        format!("{:?}", norm).hash(&mut h);
-        self.config.emit.hash(&mut h);
-        h.finish()
-    }
-
-    /// The facts-tier build budget the pipeline derives from this
-    /// service's profile (see `Compiler::compile`: `loop_op_budget` ×
-    /// 32), i.e. the `build_budget` live facts provenance will carry.
-    fn facts_build_budget(&self) -> u64 {
-        if self.config.profile.loop_op_budget == u64::MAX {
-            u64::MAX
-        } else {
-            self.config.profile.loop_op_budget.saturating_mul(32)
-        }
-    }
-
     /// Recovery: adopt whatever the durable store salvages, trusting
     /// nothing. Loop records are parsed field-by-field and re-admitted
     /// under their stored keys (a stale key simply never matches a
-    /// lookup, and every splice still re-verifies structure); facts
-    /// records are replayed through the real builders under live-
-    /// recomputed keys; result records are recompiled through the
-    /// service — warm thanks to the just-recovered loop records — and
-    /// adopted only when the live signature reproduces the stored echo.
-    /// Totally sandboxed: a record can be refused, never panic.
+    /// lookup, and every splice still re-verifies structure); result
+    /// records are recompiled through the service — warm thanks to the
+    /// just-recovered loop records — and adopted only when the live
+    /// signature reproduces the stored echo. Totally sandboxed: a
+    /// record can be refused, never panic.
     fn recover_from_store(&self) {
         let Some(store) = &self.store else { return };
         let loaded = store.load();
 
         // Tier order matters: loops first (they make the result-tier
-        // replays cheap), then facts, then results.
+        // replays cheap), then results.
         for rec in &loaded.loops {
             let adopted = rec.u64_field("k").and_then(|key| {
                 let s = SplicedLoop::from_json(rec.get("rec")?)?;
@@ -744,7 +648,7 @@ impl CompileService {
             });
             match adopted {
                 Some((key, s)) => {
-                    self.facts.loop_put(key, Arc::new(s));
+                    self.loops.loop_put(key, Arc::new(s));
                     store.mark_seen(Tier::Loops, key);
                     store.note_recovered(Tier::Loops);
                 }
@@ -752,43 +656,6 @@ impl CompileService {
             }
         }
 
-        let live_caps = self.config.profile.caps;
-        let live_budget = self.facts_build_budget();
-        for rec in &loaded.facts {
-            let prov = (|| {
-                Some(FactsProvenance {
-                    caps: caps_from_bits(rec.u64_field("caps")?),
-                    build_budget: rec.u64_field("budget")?,
-                    base_names: rec
-                        .get("base")?
-                        .as_arr()?
-                        .iter()
-                        .map(|v| v.as_str().map(str::to_string))
-                        .collect::<Option<Vec<_>>>()?,
-                    text: rec.str_field("text")?.to_string(),
-                })
-            })();
-            let Some(prov) = prov else {
-                store.note_verify_refusal();
-                continue;
-            };
-            if prov.caps != live_caps || prov.build_budget != live_budget {
-                store.note_identity_refusal();
-                continue;
-            }
-            if rebuild_facts(&self.facts, &prov) {
-                store.note_recovered(Tier::Facts);
-            } else {
-                store.note_verify_refusal();
-            }
-        }
-        // The replays published under keys recomputed from live
-        // content; seed the persisted set from those, not the records.
-        for (k, _) in self.facts.facts_snapshot() {
-            store.mark_seen(Tier::Facts, k);
-        }
-
-        let live_profile = self.profile_id();
         for rec in &loaded.results {
             let parsed = (|| {
                 Some((
@@ -802,7 +669,7 @@ impl CompileService {
                 store.note_verify_refusal();
                 continue;
             };
-            if pid != live_profile || sig.is_empty() {
+            if pid != self.profile_id || sig.is_empty() {
                 store.note_identity_refusal();
                 continue;
             }
@@ -836,48 +703,22 @@ impl CompileService {
     }
 
     /// Post-batch persistence: append every not-yet-persisted loop
-    /// record, facts provenance, and cacheable cold result to the tier
-    /// logs, then compact any log past its byte bound. Read-only stores
-    /// skip all of it.
+    /// record and cacheable cold result to the tier logs, then compact
+    /// any log past its byte bound. Read-only stores skip all of it.
     fn persist_after_batch(&self, batch: &[SuiteRequest], keys: &[u64], outcomes: &[SuiteOutcome]) {
         let Some(store) = &self.store else { return };
         if store.read_only_reason().is_some() {
             return;
         }
 
-        let loop_records: Vec<(u64, Json)> = self
-            .facts
-            .loop_snapshot()
-            .into_iter()
-            .filter_map(|(k, rec)| {
-                let s = rec.downcast::<SplicedLoop>().ok()?;
-                Some((k, Json::Obj(vec![
-                    ("k", Json::Str(k.to_string())),
-                    ("rec", s.to_json()),
-                ])))
-            })
-            .collect();
-        let new_loops: Vec<Json> = loop_records
+        let resident = self.loops.loop_snapshot();
+        let new_loops: Vec<Json> = resident
             .iter()
             .filter(|(k, _)| store.mark_seen(Tier::Loops, *k))
-            .map(|(_, p)| p.clone())
+            .filter_map(|(k, rec)| loop_payload(*k, rec))
             .collect();
         store.append(Tier::Loops, &new_loops);
 
-        let facts_records: Vec<(u64, Json)> = self
-            .facts
-            .facts_snapshot()
-            .into_iter()
-            .map(|(k, prov)| (k, facts_payload(k, &prov)))
-            .collect();
-        let new_facts: Vec<Json> = facts_records
-            .iter()
-            .filter(|(k, _)| store.mark_seen(Tier::Facts, *k))
-            .map(|(_, p)| p.clone())
-            .collect();
-        store.append(Tier::Facts, &new_facts);
-
-        let pid = self.profile_id();
         let mut new_results = Vec::new();
         for (i, o) in outcomes.iter().enumerate() {
             if o.served != Served::Cold || !Self::cacheable(&o.artifact) {
@@ -887,17 +728,18 @@ impl CompileService {
             if sig.is_empty() || !store.mark_seen(Tier::Results, keys[i]) {
                 continue;
             }
-            let payload = result_payload(keys[i], pid, &o.name, &batch[i].source, &sig);
+            let payload = result_payload(keys[i], self.profile_id, &o.name, &batch[i].source, &sig);
             self.retain_result_record(keys[i], payload.clone());
             new_results.push(payload);
         }
         store.append(Tier::Results, &new_results);
 
         if store.wants_compaction(Tier::Loops) {
-            store.compact(Tier::Loops, &loop_records);
-        }
-        if store.wants_compaction(Tier::Facts) {
-            store.compact(Tier::Facts, &facts_records);
+            let all: Vec<(u64, Json)> = resident
+                .iter()
+                .filter_map(|(k, rec)| Some((*k, loop_payload(*k, rec)?)))
+                .collect();
+            store.compact(Tier::Loops, &all);
         }
         if store.wants_compaction(Tier::Results) {
             let kept = self
@@ -909,23 +751,17 @@ impl CompileService {
         }
     }
 
-    /// Cache key for one suite: raw source bytes, the emission mode,
-    /// plus the compile-relevant profile identity. Emission is keyed so
-    /// a `compile_and_emit` artifact can never be served to a plain
-    /// `compile` request (or vice versa) — the two carry different
-    /// skip ledgers (`NotEmittable`) and artifacts. `threads` is
-    /// excluded — reports are thread-invariant, so worker width must
-    /// not fragment the cache. Raw source (not the resolved-program
-    /// fingerprint) is
+    /// Cache key for one suite: the profile identity (which covers
+    /// the emission mode, so a `compile_and_emit` artifact can never be
+    /// served to a plain `compile` request or vice versa — the two
+    /// carry different skip ledgers and artifacts) plus the raw source
+    /// bytes. Raw source (not the resolved-program fingerprint) is
     /// deliberate: two garbled sources can *resolve* identically yet
     /// carry different recovery diagnostics, which are part of the
     /// answer.
     fn suite_key(&self, source: &str) -> u64 {
-        let mut norm = self.config.profile.clone();
-        norm.threads = 1;
         let mut h = DefaultHasher::new();
-        format!("{:?}", norm).hash(&mut h);
-        self.config.emit.hash(&mut h);
+        self.profile_id.hash(&mut h);
         source.hash(&mut h);
         h.finish()
     }
@@ -940,16 +776,15 @@ impl CompileService {
     }
 
     /// True when the artifact may enter the result cache: a compile
-    /// that ran the full pipeline with no expiry, no degradation, no
-    /// contained panic, and no quarantine refusal. Anything else would
-    /// replay a partial (or poisoned) answer forever.
+    /// that ran the full pipeline with no expiry, no degradation and no
+    /// contained panic. Anything else would replay a partial (or
+    /// poisoned) answer forever.
     fn cacheable(art: &SuiteArtifact) -> bool {
         match art.compile() {
             Some(r) => {
                 !r.report.deadline_expired
                     && r.report.degrade.is_none()
                     && r.report.panicked_loops() == 0
-                    && r.report.quarantined_loops() == 0
             }
             None => false,
         }
@@ -958,8 +793,8 @@ impl CompileService {
     /// How an artifact classifies when it is *not* a plain
     /// full-fidelity result (`None` → Cold / CacheHit / Deduped).
     /// Precedence: refusals (Rejected / Quarantined artifacts) over
-    /// compile outcomes; within a compile, expiry over quarantined
-    /// loops over tier degradation.
+    /// compile outcomes; within a compile, expiry over tier
+    /// degradation.
     fn classify_artifact(art: &SuiteArtifact) -> Option<Served> {
         match art {
             // A contained panic stays in the base class; `failed`
@@ -971,8 +806,6 @@ impl CompileService {
                 let r = art.compile().expect("compiled artifact");
                 if r.report.deadline_expired {
                     Some(Served::DeadlineExpired)
-                } else if r.report.quarantined_loops() > 0 {
-                    Some(Served::Quarantined)
                 } else if r.report.degrade.is_some() {
                     Some(Served::Degraded)
                 } else {
@@ -991,7 +824,7 @@ impl CompileService {
     /// stats.
     pub fn compile_many(&self, batch: &[SuiteRequest]) -> Batch {
         let t0 = Instant::now();
-        let facts_before = self.facts.stats();
+        let loops_before = self.loops.stats();
         let store_before = self.store_stats();
 
         let keys: Vec<u64> = batch.iter().map(|r| self.suite_key(&r.source)).collect();
@@ -1003,9 +836,8 @@ impl CompileService {
             let mut seen: HashSet<u64> = HashSet::new();
             for &k in &keys {
                 if seen.insert(k) {
-                    if let Some(strikes) = self.suite_quarantine_check(k) {
-                        quarantined_art
-                            .insert(k, Arc::new(SuiteArtifact::Quarantined { strikes }));
+                    if let Some(strikes) = self.strikes.check(k) {
+                        quarantined_art.insert(k, Arc::new(SuiteArtifact::Quarantined { strikes }));
                     }
                 }
             }
@@ -1038,7 +870,7 @@ impl CompileService {
         let mut cached: HashMap<usize, (Arc<SuiteArtifact>, f64)> = HashMap::new();
         let mut jobs: Vec<usize> = Vec::new();
         {
-            let mut cache = self.results.lock().expect("result cache lock");
+            let mut cache = self.results.lock();
             for (i, dup) in dup_of.iter().enumerate() {
                 if dup.is_some() || quarantined_art.contains_key(&keys[i]) {
                     continue;
@@ -1046,7 +878,7 @@ impl CompileService {
                 let tl = Instant::now();
                 match cache.get(keys[i]) {
                     Some(hit) => {
-                        cached.insert(i, (hit, tl.elapsed().as_secs_f64()));
+                        cached.insert(i, (Arc::clone(hit), tl.elapsed().as_secs_f64()));
                     }
                     None => jobs.push(i),
                 }
@@ -1147,7 +979,7 @@ impl CompileService {
         // clean compiles expunge it.
         let mut fresh: HashMap<usize, (Arc<SuiteArtifact>, f64)> = HashMap::new();
         {
-            let mut cache = self.results.lock().expect("result cache lock");
+            let mut cache = self.results.lock();
             for (j, &i) in jobs.iter().enumerate() {
                 let (art, wall) = slots[j].get().expect("job completed").clone();
                 if Self::cacheable(&art) {
@@ -1163,9 +995,9 @@ impl CompileService {
                 Some(r) => r.report.panicked_loops() > 0,
             };
             if panicked {
-                self.note_suite_failure(keys[i]);
+                self.strikes.strike(keys[i]);
             } else if Self::cacheable(art) {
-                self.note_suite_success(keys[i]);
+                self.strikes.clear(keys[i]);
             }
         }
 
@@ -1240,7 +1072,7 @@ impl CompileService {
         self.persist_after_batch(batch, &keys, &outcomes);
 
         let wall_s = t0.elapsed().as_secs_f64();
-        let result_evictions = self.results.lock().expect("result cache lock").evictions;
+        let result_evictions = self.results.lock().evictions();
         let stats = ServiceStats {
             suites: batch.len(),
             cold: stats_cold,
@@ -1254,7 +1086,7 @@ impl CompileService {
             pending_peak: self.peak_pending(),
             quarantined_suites: self.quarantined_suites(),
             result_evictions,
-            facts: self.facts.stats().since(&facts_before),
+            facts: self.loops.stats().since(&loops_before),
             store: self.store_stats().since(&store_before),
             wall_s,
             suites_per_s: if wall_s > 0.0 {
@@ -1286,7 +1118,7 @@ impl CompileService {
     }
 
     /// Lifetime counters since the service was created (the daemon's
-    /// `STATS` answer). Gauges and facts counters are absolute.
+    /// `STATS` answer). Gauges and loop-store counters are absolute.
     pub fn cumulative_stats(&self) -> ServiceStats {
         let wall_s = self.busy_us.load(Ordering::Relaxed) as f64 / 1e6;
         let suites = self.suites.load(Ordering::Relaxed);
@@ -1302,8 +1134,8 @@ impl CompileService {
             degraded: self.degraded.load(Ordering::Relaxed),
             pending_peak: self.peak_pending(),
             quarantined_suites: self.quarantined_suites(),
-            result_evictions: self.results.lock().expect("result cache lock").evictions,
-            facts: self.facts.stats(),
+            result_evictions: self.results.lock().evictions(),
+            facts: self.loops.stats(),
             store: self.store_stats(),
             wall_s,
             suites_per_s: if wall_s > 0.0 {
@@ -1326,7 +1158,7 @@ impl CompileService {
     ) -> (Arc<SuiteArtifact>, f64) {
         let t = Instant::now();
         let mut compiler = Compiler::new(self.config.profile.clone())
-            .with_shared_facts(Arc::clone(&self.facts))
+            .with_loop_store(Arc::clone(&self.loops))
             .with_degrade(tier);
         if let Some(tok) = token {
             compiler = compiler.with_cancel(tok);
@@ -1352,20 +1184,15 @@ impl CompileService {
     }
 }
 
-/// Facts-tier record payload: build provenance, not build output —
-/// recovery replays it through the real builders. `u64`s are encoded
-/// as decimal strings (f64 JSON numbers cannot carry 64 bits).
-fn facts_payload(key: u64, prov: &FactsProvenance) -> Json {
-    Json::Obj(vec![
+/// Loop-tier record payload; `None` for a record that is not a
+/// [`SplicedLoop`] (nothing else is ever stored). `u64`s are encoded as
+/// decimal strings (f64 JSON numbers cannot carry 64 bits).
+fn loop_payload(key: u64, rec: &LoopRecord) -> Option<Json> {
+    let s = rec.downcast_ref::<SplicedLoop>()?;
+    Some(Json::Obj(vec![
         ("k", Json::Str(key.to_string())),
-        ("caps", Json::Str(caps_bits(&prov.caps).to_string())),
-        ("budget", Json::Str(prov.build_budget.to_string())),
-        (
-            "base",
-            Json::Arr(prov.base_names.iter().map(|n| Json::Str(n.clone())).collect()),
-        ),
-        ("text", Json::Str(prov.text.clone())),
-    ])
+        ("rec", s.to_json()),
+    ]))
 }
 
 /// Result-tier record payload: the suite's name and raw source plus
@@ -1666,48 +1493,67 @@ END
         assert_eq!(s.peak_pending(), 5);
     }
 
+    /// A loop whose body calls a subroutine: the inliner specializes
+    /// the program, so the loop reaches the facts stage with a build.
+    const SRC_CALL: &str = "\
+PROGRAM MAIN
+REAL A(100)
+INTEGER I
+DO I = 1, 100
+CALL SET(A, I)
+ENDDO
+END
+SUBROUTINE SET(X, K)
+REAL X(100)
+X(K) = K * 2.0
+END
+";
+
     #[test]
     fn crash_looping_suite_is_quarantined_then_recovers_after_backoff() {
         use apar_core::PassId;
-        let s = CompileService::new(ServiceConfig {
-            workers: 1,
-            profile: CompilerProfile::polaris2008().with_fault(
-                PassId::DataDependence,
-                "MAIN",
-                None,
-            ),
-            quarantine_strikes: 2,
-            quarantine_backoff_ms: 40,
-            ..ServiceConfig::default()
-        });
-        // Two contained-panic compiles strike the suite out…
-        for _ in 0..2 {
-            let out = s.compile_one(SuiteRequest::new("bad", SRC));
-            let r = out.artifact.compile().expect("contained panic");
-            assert!(r.report.panicked_loops() > 0, "fault fires and is contained");
+        // A crash in the dependence test, and one at the facts stage of
+        // a call-bearing loop: the suite ledger is the only guard
+        // against either crash loop.
+        for (pass, src) in [(PassId::DataDependence, SRC), (PassId::Others, SRC_CALL)] {
+            let s = CompileService::new(ServiceConfig {
+                workers: 1,
+                profile: CompilerProfile::polaris2008().with_fault(pass, "MAIN", None),
+                quarantine_strikes: 2,
+                quarantine_backoff_ms: 40,
+                ..ServiceConfig::default()
+            });
+            // Two contained-panic compiles strike the suite out…
+            for _ in 0..2 {
+                let out = s.compile_one(SuiteRequest::new("bad", src));
+                let r = out.artifact.compile().expect("contained panic");
+                assert!(
+                    r.report.panicked_loops() > 0,
+                    "{pass:?} fault fires and is contained"
+                );
+            }
+            // …so the third request is refused from the ledger, costlessly.
+            let refused = s.compile_one(SuiteRequest::new("bad", src));
+            assert_eq!(refused.served, Served::Quarantined, "{pass:?}");
+            assert!(matches!(
+                &*refused.artifact,
+                SuiteArtifact::Quarantined { strikes: 2 }
+            ));
+            assert_eq!(s.quarantined_suites(), 1);
+            // After the backoff lapses the suite gets a probation compile
+            // (which fails again here, re-arming the quarantine).
+            std::thread::sleep(Duration::from_millis(60));
+            let probation = s.compile_one(SuiteRequest::new("bad", src));
+            assert!(
+                probation.artifact.compile().is_some(),
+                "probation compile actually ran"
+            );
+            assert_eq!(s.quarantined_suites(), 1, "failure re-armed the quarantine");
+            // A healthy suite is unaffected throughout (different unit name
+            // dodges the injected fault).
+            let healthy = s.compile_one(SuiteRequest::new("good", src.replace("MAIN", "OTHER")));
+            assert_eq!(healthy.served, Served::Cold);
         }
-        // …so the third request is refused from the ledger, costlessly.
-        let refused = s.compile_one(SuiteRequest::new("bad", SRC));
-        assert_eq!(refused.served, Served::Quarantined);
-        assert!(matches!(
-            &*refused.artifact,
-            SuiteArtifact::Quarantined { strikes: 2 }
-        ));
-        assert_eq!(s.quarantined_suites(), 1);
-        // After the backoff lapses the suite gets a probation compile
-        // (which fails again here, re-arming the quarantine).
-        std::thread::sleep(Duration::from_millis(60));
-        let probation = s.compile_one(SuiteRequest::new("bad", SRC));
-        assert!(
-            probation.artifact.compile().is_some(),
-            "probation compile actually ran"
-        );
-        assert_eq!(s.quarantined_suites(), 1, "failure re-armed the quarantine");
-        // A healthy suite is unaffected throughout (different unit name
-        // dodges the injected fault).
-        let healthy =
-            s.compile_one(SuiteRequest::new("good", SRC.replace("MAIN", "OTHER")));
-        assert_eq!(healthy.served, Served::Cold);
     }
 
     #[test]
@@ -1720,11 +1566,11 @@ END
         });
         // One strike by hand, then a clean compile of the same suite.
         let key = s.suite_key(SRC);
-        s.note_suite_failure(key);
+        s.strikes.strike(key);
         let out = s.compile_one(SuiteRequest::new("a", SRC));
         assert_eq!(out.served, Served::Cold);
         assert!(
-            s.suite_quarantine.lock().unwrap().map.is_empty(),
+            s.strikes.records.lock().is_empty(),
             "success expunged the strike record"
         );
     }
@@ -1762,7 +1608,7 @@ END
             "\"degraded\":0",
             "\"pending_peak\":1",
             "\"quarantined_suites\":0",
-            "\"facts_quarantine_hits\":0",
+            "\"loop_evictions\":0",
         ] {
             assert!(json.contains(field), "{field} missing from {json}");
         }

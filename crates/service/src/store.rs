@@ -1,7 +1,7 @@
-//! Crash-safe persistent store for the service's three cache tiers.
+//! Crash-safe persistent store for the service's two cache tiers.
 //!
-//! Layout: one append-only record log per tier (`facts.log`,
-//! `loops.log`, `results.log`) in the store directory, each starting
+//! Layout: one append-only record log per tier (`loops.log`,
+//! `results.log`) in the store directory, each starting
 //! with an 8-byte versioned file header and containing length-prefixed,
 //! CRC-32-checksummed records whose payloads are compact-JSON documents
 //! (the workspace's hand-rolled `jsonio` — no deps). Snapshots are
@@ -12,14 +12,14 @@
 //! total over arbitrary bytes — a wrong-version header refuses the
 //! whole file, a torn tail, flipped bit, or misframed record refuses
 //! exactly the damaged region (resynchronizing on the record magic) —
-//! and every surviving payload still only *proposes* state: facts
-//! records are build instructions replayed through the real builders
-//! ([`apar_analysis::rebuild_facts`]), loop records must parse field-
-//! by-field ([`SplicedLoop::from_json`]) and then pass the same
-//! structural `matches` re-verification as any live record before a
-//! splice, and result records must reproduce their recorded report
-//! signature from a live compile before the cache believes them. Every
-//! refusal is counted, never panicked on.
+//! and every surviving payload still only *proposes* state: loop
+//! records must parse field-by-field (`SplicedLoop::from_json`) and
+//! then pass the same structural `matches` re-verification as any live
+//! record before a splice, and result records must reproduce their
+//! recorded report signature from a live compile before the cache
+//! believes them. Every refusal is counted, never panicked on. Only the
+//! two tier logs are ever opened: any other file in the directory is
+//! not loaded, not counted in `store_bytes`, and not a refusal.
 //!
 //! Writes go through an injectable fault shim ([`StoreFaults`]):
 //! deterministic, seeded short writes, failed flushes/renames, ENOSPC
@@ -50,11 +50,9 @@ const REC_MAGIC: &[u8; 4] = &[0xA5, b'R', b'E', b'C'];
 /// corruption by definition, not a large record.
 const MAX_RECORD: u64 = 1 << 24;
 
-/// The three persisted cache tiers.
+/// The two persisted cache tiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// `SharedFactsStore` program facts, persisted as build provenance.
-    Facts,
     /// Per-loop incremental records (`SplicedLoop`).
     Loops,
     /// Suite results, persisted as `(name, source, signature)` echoes.
@@ -62,12 +60,11 @@ pub enum Tier {
 }
 
 impl Tier {
-    pub const ALL: [Tier; 3] = [Tier::Facts, Tier::Loops, Tier::Results];
+    pub const ALL: [Tier; 2] = [Tier::Loops, Tier::Results];
 
     /// The tier's log file name inside the store directory.
     pub fn file_name(&self) -> &'static str {
         match self {
-            Tier::Facts => "facts.log",
             Tier::Loops => "loops.log",
             Tier::Results => "results.log",
         }
@@ -113,8 +110,10 @@ pub struct StoreStats {
     /// Gauge: the store degraded to read-only (unwritable directory or
     /// another writer holds the lock).
     pub read_only: bool,
-    /// Recovery adoptions per tier.
+    /// Always 0: retained for the frozen benchmark crate; drop with the
+    /// next `benchmark` PR.
     pub recovered_facts: u64,
+    /// Recovery adoptions per tier.
     pub recovered_loops: u64,
     pub recovered_results: u64,
     /// Total recovery refusals (sum of the `refused_*` breakdown).
@@ -127,11 +126,11 @@ pub struct StoreStats {
     pub refused_parse: u64,
     /// Wrong-version (or missing) file headers — one per refused file.
     pub refused_version: u64,
-    /// Records for a different build identity (capability set, budget,
-    /// or profile) than the recovering service.
+    /// Records for a different profile identity than the recovering
+    /// service.
     pub refused_identity: u64,
-    /// Records that parsed but failed semantic re-verification (facts
-    /// replay mismatch, result signature mismatch).
+    /// Records that parsed but failed semantic re-verification (loop
+    /// record field mismatch, result signature mismatch).
     pub refused_verify: u64,
     /// Records appended to the logs.
     pub appended_records: u64,
@@ -149,7 +148,7 @@ impl StoreStats {
         StoreStats {
             enabled: self.enabled,
             read_only: self.read_only,
-            recovered_facts: self.recovered_facts - earlier.recovered_facts,
+            recovered_facts: 0,
             recovered_loops: self.recovered_loops - earlier.recovered_loops,
             recovered_results: self.recovered_results - earlier.recovered_results,
             recovery_refusals: self.recovery_refusals - earlier.recovery_refusals,
@@ -172,7 +171,6 @@ impl StoreStats {
         vec![
             ("store_enabled", Json::Bool(self.enabled)),
             ("store_read_only", Json::Bool(self.read_only)),
-            ("recovered_facts", Json::Int(self.recovered_facts as i64)),
             ("recovered_loops", Json::Int(self.recovered_loops as i64)),
             ("recovered_results", Json::Int(self.recovered_results as i64)),
             ("recovery_refusals", Json::Int(self.recovery_refusals as i64)),
@@ -196,7 +194,6 @@ impl StoreStats {
 /// caller's job, reported back via `note_*`.
 #[derive(Debug, Default)]
 pub struct LoadedTiers {
-    pub facts: Vec<JVal>,
     pub loops: Vec<JVal>,
     pub results: Vec<JVal>,
 }
@@ -217,8 +214,8 @@ pub struct PersistentStore {
     /// Keys already persisted per tier, so the post-batch append pass
     /// only writes news. Advisory (duplicates on disk are deduped by
     /// recovery anyway); reset by compaction to the snapshot's keys.
-    seen: Mutex<[HashSet<u64>; 3]>,
-    recovered: [AtomicU64; 3],
+    seen: Mutex<[HashSet<u64>; 2]>,
+    recovered: [AtomicU64; 2],
     refused_framing: AtomicU64,
     refused_crc: AtomicU64,
     refused_parse: AtomicU64,
@@ -263,8 +260,8 @@ impl PersistentStore {
             faults,
             fault_ctr: AtomicU64::new(0),
             compact_bytes: 1 << 20,
-            seen: Mutex::new([HashSet::new(), HashSet::new(), HashSet::new()]),
-            recovered: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            seen: Mutex::new([HashSet::new(), HashSet::new()]),
+            recovered: [AtomicU64::new(0), AtomicU64::new(0)],
             refused_framing: AtomicU64::new(0),
             refused_crc: AtomicU64::new(0),
             refused_parse: AtomicU64::new(0),
@@ -340,7 +337,6 @@ impl PersistentStore {
                 }
             };
             let dest = match tier {
-                Tier::Facts => &mut out.facts,
                 Tier::Loops => &mut out.loops,
                 Tier::Results => &mut out.results,
             };
@@ -541,9 +537,9 @@ impl PersistentStore {
         StoreStats {
             enabled: true,
             read_only: self.read_only.is_some(),
-            recovered_facts: self.recovered[0].load(Ordering::Relaxed),
-            recovered_loops: self.recovered[1].load(Ordering::Relaxed),
-            recovered_results: self.recovered[2].load(Ordering::Relaxed),
+            recovered_facts: 0,
+            recovered_loops: self.recovered[tier_ix(Tier::Loops)].load(Ordering::Relaxed),
+            recovered_results: self.recovered[tier_ix(Tier::Results)].load(Ordering::Relaxed),
             recovery_refusals: refused_framing
                 + refused_crc
                 + refused_parse
@@ -591,9 +587,8 @@ impl std::fmt::Debug for PersistentStore {
 
 fn tier_ix(tier: Tier) -> usize {
     match tier {
-        Tier::Facts => 0,
-        Tier::Loops => 1,
-        Tier::Results => 2,
+        Tier::Loops => 0,
+        Tier::Results => 1,
     }
 }
 
@@ -736,8 +731,8 @@ mod tests {
     fn bit_flip_is_caught_by_crc_and_skipped() {
         let dir = tmp_dir("flip");
         let store = PersistentStore::open(&dir);
-        store.append(Tier::Facts, &[payload(1), payload(2), payload(3)]);
-        let path = dir.join("facts.log");
+        store.append(Tier::Loops, &[payload(1), payload(2), payload(3)]);
+        let path = dir.join("loops.log");
         let mut bytes = fs::read(&path).unwrap();
         // Flip one payload byte of the middle record (past header +
         // first frame; a byte inside the second record's JSON body).
@@ -747,7 +742,7 @@ mod tests {
         let loaded = store.load();
         let s = store.stats();
         assert_eq!(
-            loaded.facts.len() as u64 + s.recovery_refusals,
+            loaded.loops.len() as u64 + s.recovery_refusals,
             3,
             "every record is either loaded or counted"
         );
@@ -847,7 +842,7 @@ mod tests {
         let store = PersistentStore::open(&path);
         let reason = store.read_only_reason().expect("degraded").to_string();
         assert!(reason.contains("cannot create store directory"), "{}", reason);
-        store.append(Tier::Facts, &[payload(1)]); // no-op, no panic
+        store.append(Tier::Loops, &[payload(1)]); // no-op, no panic
         assert_eq!(store.stats().store_bytes, 0);
         drop(store);
         let _ = fs::remove_dir_all(&dir);

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use apar_analysis::cache::SharedFactsStore;
+use apar_analysis::{LoopRecordStore, LoopStoreStats};
 use apar_core::{Compiler, CompilerProfile};
 
 /// Three loops in three call-disjoint units, one of which funnels
@@ -59,11 +59,11 @@ fn recompile(
     base: &str,
     after: &str,
     threads: usize,
-) -> apar_analysis::cache::SharedStats {
+) -> LoopStoreStats {
     let profile = CompilerProfile::polaris2008().with_threads(threads);
-    let store = Arc::new(SharedFactsStore::bounded(64, 8 << 20));
+    let store = Arc::new(LoopRecordStore::bounded(512));
     let cold = Compiler::new(profile.clone())
-        .with_shared_facts(Arc::clone(&store))
+        .with_loop_store(Arc::clone(&store))
         .compile_source("suite", base)
         .expect("cold compile");
     let plain_cold = Compiler::new(profile.clone())
@@ -77,7 +77,7 @@ fn recompile(
 
     let before = store.stats();
     let warm = Compiler::new(profile.clone())
-        .with_shared_facts(Arc::clone(&store))
+        .with_loop_store(Arc::clone(&store))
         .compile_source("suite", after)
         .expect("warm compile");
     let plain = Compiler::new(profile)
@@ -133,7 +133,7 @@ fn whitespace_only_edit_splices_every_loop() {
 
 #[test]
 fn eviction_squeeze_misses_every_splice_yet_identity_holds() {
-    // A store squeezed to its floor keeps at most 8 loop records.
+    // A store squeezed to 8 loop records.
     // Flushing it with an 8-loop suite evicts everything the first
     // suite stored: the recompile then misses every splice lookup and
     // must fall back to full re-analysis with an identical report.
@@ -144,10 +144,10 @@ fn eviction_squeeze_misses_every_splice_yet_identity_holds() {
     flush.push_str("END\n");
 
     let profile = CompilerProfile::polaris2008();
-    let store = Arc::new(SharedFactsStore::bounded(1, 1));
+    let store = Arc::new(LoopRecordStore::bounded(8));
     let with_store = |src: &str| {
         Compiler::new(profile.clone())
-            .with_shared_facts(Arc::clone(&store))
+            .with_loop_store(Arc::clone(&store))
             .compile_source("suite", src)
             .expect("compile")
     };

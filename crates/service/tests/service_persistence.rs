@@ -25,10 +25,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Three small distinct suites. Each has a loop that calls a
-/// subroutine: the inliner then builds a specialized per-loop program
-/// whose facts land in the shared store, so all three tiers (facts,
-/// loops, results) get records.
+/// Three small distinct suites whose loops call subroutines, so the
+/// persisted loop records cover the inliner's path too.
 fn suites() -> Vec<SuiteRequest> {
     let alpha = "\
 PROGRAM ALPHA
@@ -90,10 +88,9 @@ fn service(workers: usize) -> CompileService {
 }
 
 /// What seeding wrote: the cold report signatures plus the exact
-/// facts- and loop-tier record counts the store persisted.
+/// loop-tier record count the store persisted.
 struct Seeded {
     cold_sigs: Vec<String>,
-    facts_records: u64,
     loop_records: u64,
 }
 
@@ -110,9 +107,7 @@ fn seed_store(dir: &Path) -> Seeded {
     assert!(stats.enabled && !stats.read_only, "{stats:?}");
     assert!(stats.appended_records > 0, "{stats:?}");
     assert_eq!(stats.append_errors, 0, "{stats:?}");
-    let facts_records = svc.facts_store().facts_snapshot().len() as u64;
-    let loop_records = svc.facts_store().loop_snapshot().len() as u64;
-    assert!(facts_records > 0, "corpus must exercise the facts tier");
+    let loop_records = svc.loop_store().loop_snapshot().len() as u64;
     assert!(loop_records > 0, "corpus must exercise the loop tier");
     Seeded {
         cold_sigs: batch
@@ -120,37 +115,53 @@ fn seed_store(dir: &Path) -> Seeded {
             .iter()
             .map(|o| o.artifact.signature())
             .collect(),
-        facts_records,
         loop_records,
     }
 }
 
+/// Recovery is the same whether or not an older build left a
+/// `facts.log` behind (the tier no longer exists): the file is never
+/// opened, so it is neither loaded, nor counted, nor a refusal.
 #[test]
 fn restart_recovers_every_tier_and_serves_warm() {
-    let dir = scratch("roundtrip");
-    let seeded = seed_store(&dir);
-    let cold_sigs = seeded.cold_sigs.clone();
+    let stale_facts_logs: [Option<&[u8]>; 3] = [
+        None,
+        Some(b"APST0001\xA5REC\x02\x00\x00\x00\x00\x00\x00\x00{}"),
+        Some(b"\x00\xFFnot a log at all"),
+    ];
+    let mut store_bytes = Vec::new();
+    for (n, stale) in stale_facts_logs.into_iter().enumerate() {
+        let dir = scratch(&format!("roundtrip{n}"));
+        let seeded = seed_store(&dir);
+        if let Some(bytes) = stale {
+            fs::write(dir.join("facts.log"), bytes).expect("plant stale facts.log");
+        }
 
-    let svc = service(2).with_store(&dir);
-    let s = svc.store_stats();
-    assert_eq!(s.recovered_results, 3, "{s:?}");
-    assert_eq!(s.recovered_facts, seeded.facts_records, "{s:?}");
-    assert_eq!(s.recovered_loops, seeded.loop_records, "{s:?}");
-    assert_eq!(s.recovery_refusals, 0, "undamaged logs refuse nothing: {s:?}");
+        let svc = service(2).with_store(&dir);
+        let s = svc.store_stats();
+        assert_eq!(s.recovered_results, 3, "{s:?}");
+        assert_eq!(s.recovered_loops, seeded.loop_records, "{s:?}");
+        assert_eq!(s.recovery_refusals, 0, "undamaged logs refuse nothing: {s:?}");
+        store_bytes.push(s.store_bytes);
 
-    let warm = svc.compile_many(&suites());
-    for (o, cold_sig) in warm.outcomes.iter().zip(&cold_sigs) {
-        assert_eq!(o.served, Served::CacheHit, "{}: {:?}", o.name, o.served);
-        assert_eq!(
-            &o.artifact.signature(),
-            cold_sig,
-            "{}: recovered result diverged from the cold compile",
-            o.name
-        );
+        let warm = svc.compile_many(&suites());
+        for (o, cold_sig) in warm.outcomes.iter().zip(&seeded.cold_sigs) {
+            assert_eq!(o.served, Served::CacheHit, "{}: {:?}", o.name, o.served);
+            assert_eq!(
+                &o.artifact.signature(),
+                cold_sig,
+                "{}: recovered result diverged from the cold compile",
+                o.name
+            );
+        }
+        assert_eq!(warm.stats.result_hits, 3, "{:?}", warm.stats);
+        drop(svc);
+        let _ = fs::remove_dir_all(&dir);
     }
-    assert_eq!(warm.stats.result_hits, 3, "{:?}", warm.stats);
-    drop(svc);
-    let _ = fs::remove_dir_all(&dir);
+    assert!(
+        store_bytes.iter().all(|b| *b == store_bytes[0]),
+        "a stale facts.log is not store state: {store_bytes:?}"
+    );
 }
 
 #[test]
@@ -219,17 +230,16 @@ fn stale_version_header_refuses_that_file_only() {
     let dir = scratch("version");
     seed_store(&dir);
 
-    let log = dir.join("facts.log");
-    let mut bytes = fs::read(&log).expect("facts.log");
+    let log = dir.join("loops.log");
+    let mut bytes = fs::read(&log).expect("loops.log");
     bytes[..8].copy_from_slice(b"APST0000");
     fs::write(&log, &bytes).expect("write stale header");
 
     let svc = service(2).with_store(&dir);
     let s = svc.store_stats();
     assert_eq!(s.refused_version, 1, "one event per refused file: {s:?}");
-    assert_eq!(s.recovered_facts, 0, "{s:?}");
-    // The other tiers are untouched and recover in full.
-    assert!(s.recovered_loops > 0, "{s:?}");
+    assert_eq!(s.recovered_loops, 0, "{s:?}");
+    // The other tier is untouched and recovers in full.
     assert_eq!(s.recovered_results, 3, "{s:?}");
     drop(svc);
     let _ = fs::remove_dir_all(&dir);

@@ -1,11 +1,11 @@
 //! Resilience through the public API: deadlines, admission control,
 //! quarantine, degraded tiers — and two independent service handles
-//! sharing one squeezed facts store without ever diverging.
+//! sharing one squeezed loop-record store without ever diverging.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use apar_analysis::cache::SharedFactsStore;
+use apar_analysis::LoopRecordStore;
 use apar_core::{Compiler, CompilerProfile, PassId};
 use apar_minicheck::fortgen::{gen_program, GenConfig};
 use apar_minicheck::{Rng, BASE_SEED};
@@ -33,22 +33,22 @@ fn plain_signatures(reqs: &[SuiteRequest]) -> Vec<String> {
         .collect()
 }
 
-/// Satellite: two `CompileService` handles share one facts store that
-/// is squeezed hard enough to evict between every compile. Interleaved
+/// Satellite: two `CompileService` handles share one loop-record store
+/// that is squeezed hard enough to evict within every compile. Interleaved
 /// batches from both handles must stay bit-identical to plain compiles
 /// — cross-client adoption, refusal, and eviction are all allowed,
 /// divergence is not — and the lifetime counters of the two handles
 /// must reconcile with each other and the shared store.
 #[test]
 fn two_handles_one_squeezed_store_never_diverge() {
-    let store = Arc::new(SharedFactsStore::bounded(2, 20_000));
+    let store = Arc::new(LoopRecordStore::bounded(16));
     let config = || ServiceConfig {
         workers: 2,
-        result_entries: 1, // force the facts tier to carry the load
+        result_entries: 1, // force the loop tier to carry the load
         ..ServiceConfig::default()
     };
-    let a = CompileService::with_facts_store(config(), Arc::clone(&store));
-    let b = CompileService::with_facts_store(config(), Arc::clone(&store));
+    let a = CompileService::with_loop_store(config(), Arc::clone(&store));
+    let b = CompileService::with_loop_store(config(), Arc::clone(&store));
 
     let mut reqs = workload_batch();
     let mut rng = Rng::new(BASE_SEED ^ 0x5EED);
@@ -74,9 +74,9 @@ fn two_handles_one_squeezed_store_never_diverge() {
 
     // The squeeze was real: the store thrashed the whole time.
     let shared = store.stats();
-    assert!(shared.evictions > 0, "2-entry store must evict: {:?}", shared);
+    assert!(shared.loop_evictions > 0, "16-record store must evict: {:?}", shared);
     // Both handles observe the same shared store...
-    assert_eq!(a.facts_store().stats().misses, b.facts_store().stats().misses);
+    assert_eq!(a.loop_store().stats(), b.loop_store().stats());
     // ...and each handle's own ledger is internally consistent: every
     // request it ever saw is classified exactly once.
     for (who, service) in [("a", &a), ("b", &b)] {
@@ -93,25 +93,21 @@ fn two_handles_one_squeezed_store_never_diverge() {
     }
 
     // With room to breathe, the same two handles adopt each other's
-    // facts: client B's cold compiles hit analysis client A cached.
-    let store = Arc::new(SharedFactsStore::bounded(256, 64 << 20));
+    // records: client B's cold compiles splice loops client A analyzed.
+    let store = Arc::new(LoopRecordStore::bounded(2048));
     let roomy = || ServiceConfig {
         workers: 2,
         result_entries: 1,
         ..ServiceConfig::default()
     };
-    let a = CompileService::with_facts_store(roomy(), Arc::clone(&store));
-    let b = CompileService::with_facts_store(roomy(), Arc::clone(&store));
+    let a = CompileService::with_loop_store(roomy(), Arc::clone(&store));
+    let b = CompileService::with_loop_store(roomy(), Arc::clone(&store));
     a.compile_many(&reqs);
     let before = store.stats();
     let out = b.compile_many(&reqs);
-    // The per-loop incremental tier sits in front of the facts tier,
-    // so an unchanged recompile usually splices loop records instead
-    // of re-adopting whole-program facts; either counter proves B was
-    // served from A's work.
     let after = store.stats();
     assert!(
-        after.hits + after.loop_hits > before.hits + before.loop_hits,
+        after.loop_hits > before.loop_hits,
         "client B adopted none of client A's analysis: {:?}",
         after
     );

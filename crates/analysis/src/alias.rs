@@ -78,8 +78,10 @@ pub fn location(rp: &ResolvedProgram, unit: &str, name: &str) -> Option<Location
 #[derive(Clone, Debug, Default)]
 pub struct AliasInfo {
     /// Pairs of names (within one unit) proven or assumed to possibly
-    /// overlap, keyed by unit.
-    pairs: HashMap<String, HashSet<(String, String)>>,
+    /// overlap: unit → the pair's smaller name → its larger names.
+    /// Nested so a query borrows its `&str`s instead of building an
+    /// owned `(String, String)` key.
+    pairs: HashMap<String, HashMap<String, HashSet<String>>>,
     /// Formals proven independent at every call site (only populated
     /// when the capability is on).
     noalias_formals: HashMap<String, HashSet<(usize, usize)>>,
@@ -117,7 +119,10 @@ impl AliasInfo {
                     // Past the budget: assume the pair overlaps rather
                     // than spend more ops proving otherwise.
                     if ops.charge(1).is_err() || static_overlap(rp, &unit.name, a, b) {
-                        set.insert(key(a, b));
+                        let (lo, hi) = ordered(a, b);
+                        set.entry(lo.to_string())
+                            .or_default()
+                            .insert(hi.to_string());
                     }
                 }
             }
@@ -174,10 +179,14 @@ impl AliasInfo {
         if a == b {
             return true;
         }
-        if let Some(set) = self.pairs.get(unit) {
-            if set.contains(&key(a, b)) {
-                return true;
-            }
+        let (lo, hi) = ordered(a, b);
+        let listed = self
+            .pairs
+            .get(unit)
+            .and_then(|by_lo| by_lo.get(lo))
+            .is_some_and(|his| his.contains(hi));
+        if listed {
+            return true;
         }
         let (Some(la), Some(lb)) = (location(rp, unit, a), location(rp, unit, b)) else {
             return true; // unknown storage: be conservative
@@ -207,9 +216,12 @@ impl AliasInfo {
     /// independent of hash-map iteration order.
     pub fn digest_unit<H: std::hash::Hasher>(&self, unit: &str, h: &mut H) {
         use std::hash::Hash;
-        if let Some(set) = self.pairs.get(unit) {
-            let mut pairs: Vec<_> = set.iter().collect();
-            pairs.sort();
+        if let Some(by_lo) = self.pairs.get(unit) {
+            let mut pairs: Vec<(&str, &str)> = by_lo
+                .iter()
+                .flat_map(|(lo, his)| his.iter().map(move |hi| (lo.as_str(), hi.as_str())))
+                .collect();
+            pairs.sort_unstable();
             for p in pairs {
                 p.hash(h);
             }
@@ -225,11 +237,11 @@ impl AliasInfo {
     }
 }
 
-fn key(a: &str, b: &str) -> (String, String) {
+fn ordered<'s>(a: &'s str, b: &'s str) -> (&'s str, &'s str) {
     if a <= b {
-        (a.to_string(), b.to_string())
+        (a, b)
     } else {
-        (b.to_string(), a.to_string())
+        (b, a)
     }
 }
 

@@ -16,12 +16,26 @@
 //! without `indirection_analysis`, shape-changing call boundaries fail
 //! without `reshaped_access`, and an exhausted op budget yields
 //! `Complexity`.
+//!
+//! # Ops are modeled; wall time is ours
+//!
+//! Symbolic ops are the *modeled* cost of that 2008 algorithm — they
+//! define the `complexity` class and every Figure 2/3/5 number — so
+//! they stay a pure function of the loop's content. The implementation
+//! is free to be faster than the model: everything that belongs to one
+//! access (feature gates, declared rank, tractability, primed
+//! subscripts, which dimensions mention the loop variable or a
+//! rangeless symbol) is derived once per loop instead of once per
+//! pair, arrays get dense ids so a cross-array visit is an integer
+//! compare, and a proof the loop already ran is not run again — its
+//! recorded op cost is *replayed* onto the counter ([`ProofMemo`]).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use apar_minifort::ast::Expr as Ast;
 use apar_minifort::{ResolvedProgram, StmtId};
-use apar_symbolic::{AssumeEnv, Expr, OpCounter, Prover, Range, VarId};
+use apar_symbolic::{AssumeEnv, Atom, Expr, OpCounter, Prover, Range, VarId};
 
 use crate::access::{AccessKind, ArrayAccess, LoopAccesses};
 use crate::alias::AliasInfo;
@@ -116,6 +130,44 @@ pub fn test_loop(
     summaries: &Summaries,
     ops: &OpCounter,
 ) -> DdOutcome {
+    run_loop(
+        input,
+        sym,
+        caps,
+        alias,
+        summaries,
+        ops,
+        ProofMemo::default(),
+    )
+}
+
+/// The reference the transparency tests compare against: every proof
+/// runs, nothing is replayed. Not a runtime option — test builds only.
+#[cfg(test)]
+fn test_loop_unmemoized(
+    input: &DdInput<'_>,
+    sym: &mut SymMap,
+    caps: Capabilities,
+    alias: &AliasInfo,
+    summaries: &Summaries,
+    ops: &OpCounter,
+) -> DdOutcome {
+    let memo = ProofMemo {
+        off: true,
+        ..ProofMemo::default()
+    };
+    run_loop(input, sym, caps, alias, summaries, ops, memo)
+}
+
+fn run_loop(
+    input: &DdInput<'_>,
+    sym: &mut SymMap,
+    caps: Capabilities,
+    alias: &AliasInfo,
+    summaries: &Summaries,
+    ops: &OpCounter,
+    memo: ProofMemo,
+) -> DdOutcome {
     let mut out = DdOutcome::default();
     let rp = input.rp;
     let unit = input.unit;
@@ -153,9 +205,9 @@ pub fn test_loop(
         return out; // malformed; leave serial
     }
     let (lo_n, hi_n) = if step_c > 0 {
-        (lo_e.clone(), hi_e.clone())
+        (lo_e, hi_e)
     } else {
-        (hi_e.clone(), lo_e.clone())
+        (hi_e, lo_e)
     };
     env.set(iv, Range::between(lo_n.clone(), hi_n.clone()));
     // Inner loop variables range over their own bounds.
@@ -199,22 +251,35 @@ pub fn test_loop(
         }
     }
 
+    // The two directional environments, `I' >= I + step` and
+    // `I' <= I - step`, built once and shared by every pair.
+    let step = Expr::int(step_c.abs());
+    let mut env_above = env.clone();
+    env_above.set(ivp, Range::between(Expr::var(iv).add(step.clone()), hi_n));
+    let mut env_below = env.clone();
+    env_below.set(ivp, Range::between(lo_n, Expr::var(iv).sub(step)));
+
     let tester = PairTester {
         rp,
         unit,
         caps,
         env: &env,
+        env_above: &env_above,
+        env_below: &env_below,
         ops,
         iv,
         ivp,
         primed: &primed,
-        step: step_c.abs(),
-        lo: &lo_n,
-        hi: &hi_n,
+        memo: RefCell::new(memo),
     };
     let accs = &la.accesses;
-    for (i, a) in accs.iter().enumerate() {
-        for b in accs.iter().skip(i) {
+    let mut arrays = ArrayTable::new(rp, unit, alias);
+    let facts: Vec<AccessFacts> = accs
+        .iter()
+        .map(|a| tester.access_facts(a, &mut arrays))
+        .collect();
+    for (i, (a, fa)) in accs.iter().zip(&facts).enumerate() {
+        for (b, fb) in accs.iter().zip(&facts).skip(i) {
             if a.kind == AccessKind::Read && b.kind == AccessKind::Read {
                 continue;
             }
@@ -222,8 +287,8 @@ pub fn test_loop(
                 continue;
             }
             out.pairs_tested += 1;
-            if a.array != b.array {
-                if alias.may_alias(rp, unit, &a.array, &b.array) {
+            if fa.array != fb.array {
+                if arrays.may_alias(fa.array, fb.array) {
                     let why = if caps.reshaped_access {
                         match tester.test_linearized_pair(sym, a, b) {
                             Ok(true) => continue,
@@ -237,7 +302,7 @@ pub fn test_loop(
                 }
                 continue;
             }
-            match tester.test_pair(a, b) {
+            match tester.test_pair(a, fa, b, fb) {
                 Ok(true) => {}
                 Ok(false) => push_dep(&mut out, a, b, Hindrance::Real),
                 Err(h) => push_dep(&mut out, a, b, h),
@@ -245,16 +310,17 @@ pub fn test_loop(
         }
     }
     // Element-vs-window and window-vs-window pairs.
+    let window_ids: Vec<usize> = windows.iter().map(|w| arrays.id(&w.array)).collect();
     for (i, w) in windows.iter().enumerate() {
         if let Some(h) = w.failed {
             push_dep_raw(&mut out, &w.array, w.stmt, w.stmt, h);
             continue;
         }
-        for a in accs.iter() {
+        for (a, fa) in accs.iter().zip(&facts) {
             if w.kind == AccessKind::Read && a.kind == AccessKind::Read {
                 continue;
             }
-            if !alias.may_alias(rp, unit, &w.array, &a.array) {
+            if !arrays.may_alias(window_ids[i], fa.array) {
                 continue;
             }
             out.pairs_tested += 1;
@@ -264,14 +330,15 @@ pub fn test_loop(
                 Err(h) => push_dep_raw(&mut out, &w.array, w.stmt, a.stmt, h),
             }
         }
-        for w2 in windows.iter().skip(i + 1).chain(std::iter::once(w)) {
+        for j in (i + 1..windows.len()).chain(std::iter::once(i)) {
+            let w2 = &windows[j];
             if w.kind == AccessKind::Read && w2.kind == AccessKind::Read {
                 continue;
             }
             if w2.failed.is_some() {
                 continue;
             }
-            if !alias.may_alias(rp, unit, &w.array, &w2.array) {
+            if !arrays.may_alias(window_ids[i], window_ids[j]) {
                 continue;
             }
             out.pairs_tested += 1;
@@ -466,32 +533,191 @@ pub fn linearize(
     Some(offset)
 }
 
+/// Dense ids for the array names a loop touches, the declared rank of
+/// each, and a may-alias table over id pairs — so the pair loops
+/// compare integers and ask [`AliasInfo::may_alias`] once per pair of
+/// *arrays*, not once per pair of accesses.
+struct ArrayTable<'a> {
+    rp: &'a ResolvedProgram,
+    unit: &'a str,
+    alias: &'a AliasInfo,
+    names: Vec<&'a str>,
+    ids: HashMap<&'a str, usize>,
+    /// Declared rank per id; `None` when the unit declares no shape.
+    ranks: Vec<Option<usize>>,
+    /// Answers so far, keyed `(smaller id, larger id)`.
+    aliased: HashMap<(usize, usize), bool>,
+}
+
+impl<'a> ArrayTable<'a> {
+    fn new(rp: &'a ResolvedProgram, unit: &'a str, alias: &'a AliasInfo) -> Self {
+        ArrayTable {
+            rp,
+            unit,
+            alias,
+            names: Vec::new(),
+            ids: HashMap::new(),
+            ranks: Vec::new(),
+            aliased: HashMap::new(),
+        }
+    }
+
+    fn id(&mut self, name: &'a str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len();
+        self.names.push(name);
+        self.ids.insert(name, id);
+        self.ranks.push(
+            self.rp
+                .tables
+                .get(self.unit)
+                .and_then(|t| t.get(name))
+                .and_then(|s| s.shape())
+                .map(|sh| sh.rank()),
+        );
+        id
+    }
+
+    fn may_alias(&mut self, a: usize, b: usize) -> bool {
+        if a == b {
+            return true;
+        }
+        let key = (a.min(b), a.max(b));
+        let (rp, unit, alias, names) = (self.rp, self.unit, self.alias, &self.names);
+        *self
+            .aliased
+            .entry(key)
+            .or_insert_with(|| alias.may_alias(rp, unit, names[key.0], names[key.1]))
+    }
+}
+
+/// What [`PairTester::test_pair`] needs to know about one access,
+/// derived once per loop rather than once per pair it takes part in.
+struct AccessFacts {
+    /// The array's id in the loop's [`ArrayTable`].
+    array: usize,
+    /// The failure this access forces on every pair it joins
+    /// (subscripted subscripts without the capability, opaque calls).
+    gate: Option<Hindrance>,
+    /// Subscript count differs from the declared rank and
+    /// `reshaped_access` is off.
+    rank_mismatch: bool,
+    /// Some subscript is beyond the 2008 baseline engine and
+    /// `extended_symbolic` is off.
+    intractable: bool,
+    dims: Vec<DimFacts>,
+}
+
+/// One subscript of one access, in both roles it can play in a pair.
+struct DimFacts {
+    /// The subscript with the loop and inner-loop variables primed —
+    /// its form as the *second* reference of a pair.
+    primed: Expr,
+    /// The plain subscript mentions `I`.
+    mentions_iv: bool,
+    /// The primed subscript mentions `I'`.
+    primed_mentions_ivp: bool,
+    /// Some variable other than `I` / `I'` has no range, in the plain
+    /// and in the primed form.
+    rangeless: bool,
+    primed_rangeless: bool,
+}
+
+/// Proofs this loop has already run, keyed by the question — the
+/// subscript difference `d1 - d2` and whether it was asked under the
+/// base environment or under both directional ones — with the answer
+/// and the ops it cost. Within one loop the environments are fixed and
+/// the prover is deterministic, so a repeated question has the same
+/// answer and the same cost; [`PairTester::separates`] replays that
+/// cost instead of re-deriving it. Only untripped proofs are recorded
+/// and a record is only used when [`OpCounter::replay`] accepts it, so
+/// the counter — and with it every classification — cannot tell.
+#[derive(Default)]
+struct ProofMemo {
+    /// Index 0: base environment; index 1: both directions.
+    proved: [HashMap<Expr, (bool, u64)>; 2],
+    /// Reference mode for the transparency tests: remember nothing.
+    #[cfg(test)]
+    off: bool,
+}
+
+impl ProofMemo {
+    fn get(&self, diff: &Expr, directional: bool) -> Option<(bool, u64)> {
+        self.proved[directional as usize].get(diff).copied()
+    }
+
+    fn record(&mut self, diff: Expr, directional: bool, proved: bool, cost: u64) {
+        #[cfg(test)]
+        if self.off {
+            return;
+        }
+        self.proved[directional as usize].insert(diff, (proved, cost));
+    }
+}
+
 struct PairTester<'a> {
     rp: &'a ResolvedProgram,
     unit: &'a str,
     caps: Capabilities,
     env: &'a AssumeEnv,
+    /// `env` plus `I' >= I + step`, and `env` plus `I' <= I - step`.
+    env_above: &'a AssumeEnv,
+    env_below: &'a AssumeEnv,
     ops: &'a OpCounter,
     iv: VarId,
     ivp: VarId,
     primed: &'a HashMap<VarId, VarId>,
-    step: i64,
-    lo: &'a Expr,
-    hi: &'a Expr,
+    memo: RefCell<ProofMemo>,
 }
 
 impl PairTester<'_> {
+    fn access_facts<'n>(&self, acc: &'n ArrayAccess, arrays: &mut ArrayTable<'n>) -> AccessFacts {
+        let array = arrays.id(&acc.array);
+        let gate = if acc.features.indirection && !self.caps.indirection_analysis {
+            Some(Hindrance::Indirection)
+        } else if acc.features.opaque_call {
+            Some(Hindrance::SymbolAnalysis)
+        } else {
+            None
+        };
+        let declared_rank = arrays.ranks[array].unwrap_or(acc.subs.len());
+        let dims = acc
+            .subs
+            .iter()
+            .map(|sub| {
+                let primed = prime(sub, self.primed);
+                DimFacts {
+                    mentions_iv: sub.mentions(self.iv),
+                    primed_mentions_ivp: primed.mentions(self.ivp),
+                    rangeless: self.mentions_rangeless(sub),
+                    primed_rangeless: self.mentions_rangeless(&primed),
+                    primed,
+                }
+            })
+            .collect();
+        AccessFacts {
+            array,
+            gate,
+            rank_mismatch: acc.subs.len() != declared_rank && !self.caps.reshaped_access,
+            intractable: !self.caps.extended_symbolic && !acc.subs.iter().all(baseline_tractable),
+            dims,
+        }
+    }
+
     /// Tests one same-name pair. `Ok(true)` = independent across
     /// iterations; `Ok(false)` = unrefuted dependence; `Err(h)` = failed
     /// with hindrance `h`.
-    fn test_pair(&self, a: &ArrayAccess, b: &ArrayAccess) -> Result<bool, Hindrance> {
-        for acc in [a, b] {
-            if acc.features.indirection && !self.caps.indirection_analysis {
-                return Err(Hindrance::Indirection);
-            }
-            if acc.features.opaque_call {
-                return Err(Hindrance::SymbolAnalysis);
-            }
+    fn test_pair(
+        &self,
+        a: &ArrayAccess,
+        fa: &AccessFacts,
+        b: &ArrayAccess,
+        fb: &AccessFacts,
+    ) -> Result<bool, Hindrance> {
+        if let Some(h) = fa.gate.or(fb.gate) {
+            return Err(h);
         }
         if a.features.indirection || b.features.indirection {
             // Capability on: identical gather expressions are treated as
@@ -503,39 +729,24 @@ impl PairTester<'_> {
                 Err(Hindrance::Indirection)
             };
         }
-        let declared_rank = self
-            .rp
-            .tables
-            .get(self.unit)
-            .and_then(|t| t.get(&a.array))
-            .and_then(|s| s.shape())
-            .map(|sh| sh.rank())
-            .unwrap_or(a.subs.len());
-        if a.subs.len() != b.subs.len()
-            || (a.subs.len() != declared_rank && !self.caps.reshaped_access)
-        {
+        if a.subs.len() != b.subs.len() || fa.rank_mismatch {
             return Err(Hindrance::AccessRepresentation);
         }
-        if !self.caps.extended_symbolic {
-            for e in a.subs.iter().chain(b.subs.iter()) {
-                if !baseline_tractable(e) {
-                    return Err(Hindrance::SymbolAnalysis);
-                }
-            }
+        if fa.intractable || fb.intractable {
+            return Err(Hindrance::SymbolAnalysis);
         }
         // Per-dimension separation.
         let mut saw_rangeless = false;
-        for k in 0..a.subs.len() {
-            let d1 = a.subs[k].clone();
-            let d2 = prime(&b.subs[k], self.primed);
-            match self.separates(&d1, &d2) {
+        for (d1, (da, db)) in a.subs.iter().zip(fa.dims.iter().zip(&fb.dims)) {
+            let directional = da.mentions_iv || db.primed_mentions_ivp;
+            match self.separates(d1, &db.primed, directional) {
                 Ok(true) => return Ok(true),
                 Ok(false) => {}
                 Err(()) => {
                     if self.ops.exceeded() {
                         return Err(Hindrance::Complexity);
                     }
-                    if self.mentions_rangeless(&d1) || self.mentions_rangeless(&d2) {
+                    if da.rangeless || db.primed_rangeless {
                         saw_rangeless = true;
                     }
                 }
@@ -593,7 +804,8 @@ impl PairTester<'_> {
             return Err(Hindrance::Indirection);
         }
         let obp = prime(&ob, self.primed);
-        match self.separates(&oa, &obp) {
+        let directional = oa.mentions(self.iv) || obp.mentions(self.ivp);
+        match self.separates(&oa, &obp, directional) {
             Ok(sep) => Ok(sep),
             Err(()) => {
                 if self.ops.exceeded() {
@@ -686,32 +898,47 @@ impl PairTester<'_> {
     }
 
     /// Does `d1(I) != d2(I')` hold whenever `I' != I`? `Err(())` means
-    /// the question could not be settled.
-    fn separates(&self, d1: &Expr, d2: &Expr) -> Result<bool, ()> {
+    /// the question could not be settled. `directional` says whether
+    /// either side varies with its loop variable; when neither does the
+    /// element is loop-invariant and one proof under the base
+    /// environment decides.
+    fn separates(&self, d1: &Expr, d2: &Expr, directional: bool) -> Result<bool, ()> {
         let diff = d1.sub(d2.clone());
         if let Some(k) = diff.as_int() {
             // Subscripts differ by a constant: zero means the same
             // element in corresponding iterations — but if neither side
             // mentions the loop variable the element is LOOP-INVARIANT
             // and collides across iterations.
-            if k != 0 {
-                return Ok(true);
-            }
-            return Ok(false);
+            return Ok(k != 0);
         }
         let g = diff.lin().coef_gcd();
         if g > 1 && diff.lin().constant_part() % g != 0 {
             return Ok(true);
         }
-        if !mentions(d1, self.iv) && !mentions(d2, self.ivp) {
-            let p = Prover::new(self.env, self.ops);
-            return if p.prove_ne(d1, d2) {
-                Ok(true)
-            } else {
-                Err(())
-            };
-        }
-        if self.both_directions(|p| p.prove_ne(d1, d2)) {
+        // A question this loop already settled: replay its cost. When
+        // the counter refuses (tripped, or the cost no longer fits the
+        // budget) the proof runs for real and trips exactly where it
+        // always did.
+        let known = self.memo.borrow().get(&diff, directional);
+        let proved = match known {
+            Some((proved, cost)) if self.ops.replay(cost) => proved,
+            _ => {
+                let before = self.ops.spent();
+                let proved = if directional {
+                    self.both_directions(|p| p.prove_nonzero(&diff))
+                } else {
+                    Prover::new(self.env, self.ops).prove_nonzero(&diff)
+                };
+                if !self.ops.exceeded() {
+                    let cost = self.ops.spent() - before;
+                    self.memo
+                        .borrow_mut()
+                        .record(diff, directional, proved, cost);
+                }
+                proved
+            }
+        };
+        if proved {
             Ok(true)
         } else {
             Err(())
@@ -721,42 +948,17 @@ impl PairTester<'_> {
     /// Runs a proof under `I' >= I + step` and then `I' <= I - step`;
     /// both must hold.
     fn both_directions(&self, f: impl Fn(&Prover<'_>) -> bool) -> bool {
-        for upper in [true, false] {
-            let mut env = self.env.clone();
-            if upper {
-                env.set(
-                    self.ivp,
-                    Range::between(
-                        Expr::var(self.iv).add(Expr::int(self.step)),
-                        self.hi.clone(),
-                    ),
-                );
-            } else {
-                env.set(
-                    self.ivp,
-                    Range::between(
-                        self.lo.clone(),
-                        Expr::var(self.iv).sub(Expr::int(self.step)),
-                    ),
-                );
-            }
-            let p = Prover::new(&env, self.ops);
-            if !f(&p) {
-                return false;
-            }
-        }
-        true
+        [self.env_above, self.env_below]
+            .into_iter()
+            .all(|env| f(&Prover::new(env, self.ops)))
     }
 
     fn mentions_rangeless(&self, e: &Expr) -> bool {
-        e.vars()
-            .into_iter()
-            .any(|v| v != self.iv && v != self.ivp && self.env.is_rangeless(v))
+        e.any_atom(&mut |a| {
+            matches!(a, Atom::Var(v)
+                if *v != self.iv && *v != self.ivp && self.env.is_rangeless(*v))
+        })
     }
-}
-
-fn mentions(e: &Expr, v: VarId) -> bool {
-    e.vars().contains(&v)
 }
 
 fn prime(e: &Expr, primed: &HashMap<VarId, VarId>) -> Expr {
@@ -778,7 +980,7 @@ fn baseline_tractable(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access;
+    use crate::access::{self, LoopAccesses};
     use crate::callgraph::CallGraph;
     use crate::ranges;
     use apar_minifort::ast::StmtKind;
@@ -791,70 +993,12 @@ mod tests {
     }
 
     fn run_budget(src: &str, caps: Capabilities, budget: Option<u64>) -> (DdOutcome, bool) {
-        let rp = frontend(src).expect("frontend");
-        let cg = CallGraph::build(&rp);
-        let mut sym = SymMap::new();
-        let unlimited = OpCounter::unlimited();
-        let summaries = Summaries::build(&rp, &cg, &mut sym, caps, &unlimited);
-        let alias = AliasInfo::build(&rp, &cg, caps, &unlimited);
-        for unit in rp.unit_names() {
-            let unit = unit.to_string();
-            let ur = ranges::analyze_unit(
-                &rp,
-                &unit,
-                &mut sym,
-                caps,
-                &summaries,
-                &ranges::ScalarState::default(),
-                &unlimited,
-            );
-            let mut found = None;
-            rp.unit(&unit).unwrap().body.walk_stmts(&mut |s| {
-                if found.is_none() {
-                    if let StmtKind::Do {
-                        var,
-                        lo,
-                        hi,
-                        step,
-                        body,
-                        target: Some(_),
-                        ..
-                    } = &s.kind
-                    {
-                        found = Some((
-                            s.id,
-                            var.clone(),
-                            lo.clone(),
-                            hi.clone(),
-                            step.clone(),
-                            body.clone(),
-                        ));
-                    }
-                }
-            });
-            if let Some((sid, var, lo, hi, step, body)) = found {
-                let state = ur.at_loop.get(&sid).cloned().unwrap_or_default();
-                let la = access::collect(&rp, &unit, &body, &mut sym, &state);
-                let ops = match budget {
-                    Some(b) => OpCounter::with_budget(b),
-                    None => OpCounter::unlimited(),
-                };
-                let input = DdInput {
-                    rp: &rp,
-                    unit: &unit,
-                    loop_var: &var,
-                    lo: &lo,
-                    hi: &hi,
-                    step: step.as_ref(),
-                    state: &state,
-                    la: &la,
-                };
-                let out = test_loop(&input, &mut sym, caps, &alias, &summaries, &ops);
-                let exceeded = ops.exceeded();
-                return (out, exceeded);
-            }
-        }
-        panic!("no target loop found");
+        let mut target = Prepared::all(src, caps, Prelude::None, |t, _| t.is_some())
+            .into_iter()
+            .next()
+            .expect("no target loop found");
+        let (out, ops) = target.test(budget, true);
+        (out, ops.exceeded())
     }
 
     const BASE: &str = "PROGRAM P\nREAL A(100), B(100)\nN = 100\n";
@@ -1061,6 +1205,355 @@ mod tests {
         let src = "PROGRAM P\nREAL RA(100)\n!$TARGET T\nDO I = 1, 100\nCALL TOUCH(RA)\nENDDO\nEND\nSUBROUTINE TOUCH(R)\nREAL R(*)\nR(1) = R(1) + 1.0\nEND\n";
         let full = run(src, Capabilities::full());
         assert!(!full.independent);
+    }
+
+    // ---- Proof-replay transparency -------------------------------------
+
+    /// What runs ahead of the dependence test when a loop is readied.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Prelude {
+        /// Facts and ranges on the program as written.
+        None,
+        /// What the driver runs: induction substitution, then the
+        /// loop's calls inlined, then facts and ranges on that program.
+        Driver,
+    }
+
+    /// One loop readied for repeated dependence tests: everything up
+    /// to `test_loop`'s inputs.
+    struct Prepared {
+        rp: ResolvedProgram,
+        unit: String,
+        var: String,
+        lo: Ast,
+        hi: Ast,
+        step: Option<Ast>,
+        state: ScalarState,
+        la: LoopAccesses,
+        sym: SymMap,
+        alias: AliasInfo,
+        summaries: Summaries,
+        caps: Capabilities,
+    }
+
+    /// What the two implementations must agree on.
+    #[derive(PartialEq, Debug)]
+    struct Observed {
+        spent: u64,
+        exceeded: bool,
+        pairs_tested: usize,
+        deps: Vec<(String, StmtId, StmtId, DependenceKind, Hindrance)>,
+    }
+
+    impl Prepared {
+        /// Every loop of `src` for which `want(target, unit)` holds.
+        fn all(
+            src: &str,
+            caps: Capabilities,
+            prelude: Prelude,
+            want: impl Fn(Option<&str>, &str) -> bool,
+        ) -> Vec<Prepared> {
+            use crate::{induction, inline, loops::LoopForest};
+            let mut rp = frontend(src).expect("frontend");
+            if prelude == Prelude::Driver {
+                let mut prog = rp.program.clone();
+                let mut next_id = prog.stmt_count;
+                for u in &mut prog.units {
+                    induction::run_on_unit(u, &rp.tables[&u.name], &mut next_id);
+                }
+                prog.stmt_count = next_id;
+                rp = apar_minifort::resolve(prog).expect("resolve");
+            }
+            let cg = CallGraph::build(&rp);
+            let unlimited = OpCounter::unlimited();
+            let mut out = Vec::new();
+            for info in &LoopForest::build(&rp).loops {
+                if !want(info.target.as_deref(), &info.id.unit) {
+                    continue;
+                }
+                let unit = info.id.unit.clone();
+                let arp = if info.calls.is_empty() || prelude == Prelude::None {
+                    rp.clone()
+                } else {
+                    let mut scratch = rp.program.clone();
+                    inline::inline_calls_in_loop(
+                        &mut scratch,
+                        &rp,
+                        &cg,
+                        caps,
+                        &unit,
+                        info.id.stmt,
+                        3,
+                        4_000,
+                        &unlimited,
+                    );
+                    apar_minifort::resolve(scratch).expect("resolve inlined")
+                };
+                let acg = CallGraph::build(&arp);
+                let mut sym = SymMap::new();
+                let summaries = Summaries::build(&arp, &acg, &mut sym, caps, &unlimited);
+                let alias = AliasInfo::build(&arp, &acg, caps, &unlimited);
+                let ur = ranges::analyze_unit(
+                    &arp,
+                    &unit,
+                    &mut sym,
+                    caps,
+                    &summaries,
+                    &ranges::ScalarState::default(),
+                    &unlimited,
+                );
+                let mut found = None;
+                arp.unit(&unit).expect("unit").body.walk_stmts(&mut |s| {
+                    if let (
+                        true,
+                        StmtKind::Do {
+                            var,
+                            lo,
+                            hi,
+                            step,
+                            body,
+                            ..
+                        },
+                    ) = (s.id == info.id.stmt, &s.kind)
+                    {
+                        found = Some((
+                            var.clone(),
+                            lo.clone(),
+                            hi.clone(),
+                            step.clone(),
+                            body.clone(),
+                        ));
+                    }
+                });
+                let Some((var, lo, hi, step, body)) = found else {
+                    continue; // inlined away
+                };
+                let state = ur.at_loop.get(&info.id.stmt).cloned().unwrap_or_default();
+                let la = access::collect(&arp, &unit, &body, &mut sym, &state);
+                out.push(Prepared {
+                    rp: arp,
+                    unit,
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    state,
+                    la,
+                    sym,
+                    alias,
+                    summaries,
+                    caps,
+                });
+            }
+            out
+        }
+
+        fn test(&mut self, budget: Option<u64>, memoized: bool) -> (DdOutcome, OpCounter) {
+            let ops = budget.map_or_else(OpCounter::unlimited, OpCounter::with_budget);
+            let input = DdInput {
+                rp: &self.rp,
+                unit: &self.unit,
+                loop_var: &self.var,
+                lo: &self.lo,
+                hi: &self.hi,
+                step: self.step.as_ref(),
+                state: &self.state,
+                la: &self.la,
+            };
+            let test = if memoized {
+                test_loop
+            } else {
+                test_loop_unmemoized
+            };
+            let out = test(
+                &input,
+                &mut self.sym,
+                self.caps,
+                &self.alias,
+                &self.summaries,
+                &ops,
+            );
+            (out, ops)
+        }
+
+        fn run(&mut self, budget: Option<u64>, memoized: bool) -> Observed {
+            let (out, ops) = self.test(budget, memoized);
+            assert_eq!(out.budget_exceeded, ops.exceeded());
+            Observed {
+                spent: ops.spent(),
+                exceeded: ops.exceeded(),
+                pairs_tested: out.pairs_tested,
+                deps: out
+                    .dependences
+                    .into_iter()
+                    .map(|d| (d.array, d.src, d.dst, d.kind, d.why))
+                    .collect(),
+            }
+        }
+
+        /// Memo on and memo off must be indistinguishable at every
+        /// budget in `sweep` of 0 to one past what the loop needs
+        /// unbudgeted. Returns that unbudgeted cost.
+        fn assert_transparent(&mut self, what: &str, sweep: Sweep) -> u64 {
+            let reference = self.run(None, false);
+            assert_eq!(self.run(None, true), reference, "{what}: unbudgeted");
+            for budget in sweep.budgets(reference.spent + 1) {
+                let off = self.run(Some(budget), false);
+                let on = self.run(Some(budget), true);
+                assert_eq!(on, off, "{what}: budget {budget}");
+            }
+            reference.spent
+        }
+    }
+
+    /// Which budgets of `0..=top` a transparency test visits: all of
+    /// them up to `dense_to`, every `stride`-th beyond, and always the
+    /// last 32 — the edge where the whole loop just fits.
+    #[derive(Clone, Copy)]
+    struct Sweep {
+        dense_to: u64,
+        stride: usize,
+    }
+
+    impl Sweep {
+        const EVERY_BUDGET: Sweep = Sweep {
+            dense_to: u64::MAX,
+            stride: 1,
+        };
+
+        /// `optimized` in a `--release` test run (CI has one), the
+        /// thinner `unoptimized` sweep otherwise: an unoptimized run of
+        /// one of the industrial loops takes milliseconds and the
+        /// exhaustive sweeps add up to minutes.
+        fn by_build(optimized: Sweep, unoptimized: Sweep) -> Sweep {
+            if cfg!(debug_assertions) {
+                unoptimized
+            } else {
+                optimized
+            }
+        }
+
+        fn budgets(self, top: u64) -> Vec<u64> {
+            let dense = top.min(self.dense_to);
+            let mut all: Vec<u64> = (0..=dense).collect();
+            all.extend((dense..=top).step_by(self.stride));
+            all.extend(top.saturating_sub(32)..=top);
+            all.sort_unstable();
+            all.dedup();
+            all
+        }
+    }
+
+    #[test]
+    fn replay_is_transparent_on_a_stencil_with_repeated_pairs() {
+        // Nine reads around one write, twice: the same handful of
+        // subscript differences recur across dozens of pairs.
+        let mut src = String::from(
+            "PROGRAM P\nREAL U(66, 66), V(66, 66)\nREAD(*,*) N\nIF (N .GT. 64) STOP\n!$TARGET T\nDO J = 2, N\nDO I = 2, N\n",
+        );
+        for arr in ["U", "V"] {
+            src.push_str(&format!("{arr}(I, J) = 0.25 * ("));
+            let taps: Vec<String> = [
+                (-1, 0),
+                (1, 0),
+                (0, -1),
+                (0, 1),
+                (-1, -1),
+                (1, 1),
+                (-1, 1),
+                (1, -1),
+            ]
+            .iter()
+            .map(|(di, dj)| format!("{arr}(I + ({di}), J + ({dj}))"))
+            .collect();
+            src.push_str(&taps.join(" + "));
+            src.push_str(")\n");
+        }
+        src.push_str("ENDDO\nENDDO\nEND\n");
+        for caps in [Capabilities::polaris2008(), Capabilities::full()] {
+            let mut loops = Prepared::all(&src, caps, Prelude::Driver, |t, _| t == Some("T"));
+            assert_eq!(loops.len(), 1);
+            let spent = loops[0].assert_transparent("stencil", Sweep::EVERY_BUDGET);
+            assert!(
+                spent > 100,
+                "stencil too cheap to exercise the edge: {spent}"
+            );
+            // The memo must actually have something to replay here.
+            let repeats = loops[0].la.accesses.len();
+            assert!(repeats >= 18, "{repeats} accesses");
+        }
+    }
+
+    #[test]
+    fn replay_is_transparent_on_the_complexity_targets() {
+        // The three loops whose `Complexity` class *is* the budget
+        // trip: any drift in what the counter sees reclassifies them.
+        use apar_workloads as wl;
+        let suites = [
+            (
+                wl::seismic::full_suite(wl::DataSize::Small, wl::Variant::Serial),
+                "DGEN_XCOR",
+            ),
+            (wl::gamess::suite(wl::DataSize::Small), "TWOEI_SHELLS"),
+            (wl::sander::suite(wl::DataSize::Small), "DIHE_XTRM"),
+        ];
+        // Every budget through the calibrated 8 000 and a margin — where
+        // these loops actually trip — and a sample of the long tail up
+        // to the 15-46 k ops they need unbudgeted.
+        let sweep = Sweep::by_build(
+            Sweep {
+                dense_to: 8_200,
+                stride: 61,
+            },
+            Sweep {
+                dense_to: 64,
+                stride: 211,
+            },
+        );
+        for (w, target) in suites {
+            let polaris = Capabilities::polaris2008();
+            let mut loops = Prepared::all(&w.source, polaris, Prelude::Driver, |t, _| {
+                t == Some(target)
+            });
+            assert_eq!(loops.len(), 1, "{target}");
+            let spent = loops[0].assert_transparent(target, sweep);
+            assert!(
+                spent > 8_000,
+                "{target} no longer exceeds the 2008 budget: {spent}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_is_transparent_on_generated_programs() {
+        use apar_minicheck::fortgen::{gen_program, GenConfig};
+        let sweep = Sweep::by_build(
+            Sweep::EVERY_BUDGET,
+            Sweep {
+                dense_to: 64,
+                stride: 31,
+            },
+        );
+        let mut rng = apar_minicheck::Rng::new(0x0dd7_e570);
+        let mut programs = 0;
+        let mut swept = 0u64;
+        while programs < 50 {
+            let src = gen_program(&mut rng, &GenConfig::default());
+            let mut loops = Prepared::all(
+                &src,
+                Capabilities::polaris2008(),
+                Prelude::Driver,
+                |_, _| true,
+            );
+            if loops.is_empty() {
+                continue;
+            }
+            programs += 1;
+            for (k, l) in loops.iter_mut().enumerate() {
+                swept += l.assert_transparent(&format!("program {programs} loop {k}"), sweep);
+            }
+        }
+        assert!(swept > 0, "generated loops never reached the prover");
     }
 
     #[test]

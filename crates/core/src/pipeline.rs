@@ -370,6 +370,12 @@ impl Compiler {
             return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
         }
 
+        // From here to the fan-out the driver computes keys, seeds the
+        // analysis cache and resolves splices: no symbolic work (0 ops),
+        // but real wall, billed to "others" so Figure 2's seconds column
+        // adds up to the compile's wall.
+        let t_glue = Instant::now();
+
         // ---- Incremental recompilation keys ---------------------------------
         //
         // With a shared store attached, each loop gets a content key
@@ -449,6 +455,8 @@ impl Compiler {
             }
         }
 
+        report.charge(PassId::Others, t_glue.elapsed(), 0);
+
         let outcomes: Vec<LoopOutcome> = {
             let ctx = LoopCtx {
                 profile: &self.profile,
@@ -504,6 +512,7 @@ impl Compiler {
         };
 
         // ---- Deterministic merge (loop order) -------------------------------
+        let t_merge = Instant::now();
         // Loops the analysis proved parallel, for COLLAPSE computation:
         // a perfect-nest chain counts only members of this set.
         let auto_ok: HashSet<StmtId> = forest
@@ -535,6 +544,7 @@ impl Compiler {
             for (pass, wall, ops) in outcome.charges {
                 report.charge(pass, wall, ops);
             }
+            report.charge(PassId::Others, outcome.unbilled, 0);
             // Canonical interner merge: absorbing worker forks in loop
             // order reproduces the ids a sequential run hands out.
             if let Some(wsym) = &outcome.sym {
@@ -608,6 +618,8 @@ impl Compiler {
                 budget_tripped: analyzed.budget_tripped,
             });
         }
+
+        report.charge(PassId::Others, t_merge.elapsed(), 0);
 
         Ok(CompileResult {
             rp,
@@ -760,6 +772,7 @@ impl LoopCtx<'_> {
 fn deadline_outcome() -> LoopOutcome {
     LoopOutcome {
         charges: Vec::new(),
+        unbilled: Duration::ZERO,
         sym: None,
         cacheable: false,
         result: Err(SkipReason::DeadlineExpired),
@@ -785,6 +798,12 @@ struct AnalyzedLoop {
 struct LoopOutcome {
     /// Per-pass charges, in the order a sequential run records them.
     charges: Vec<(PassId, Duration, u64)>,
+    /// Wall this loop's analysis took beyond what `charges` bills to a
+    /// pass: the facts lookup or build, the interner fork, the ranges
+    /// re-run, locating and cloning the body. It carries no ops, so it
+    /// is kept out of `charges` (and out of stored [`SplicedLoop`]s)
+    /// and billed to "others" at the merge.
+    unbilled: Duration,
     /// The worker's interner fork (absorbed canonically at merge).
     sym: Option<SymMap>,
     /// Safe to store under the loop's content key for later compiles
@@ -988,6 +1007,7 @@ impl SplicedLoop {
                 .iter()
                 .map(|&(p, ops)| (p, Duration::ZERO, ops))
                 .collect(),
+            unbilled: Duration::ZERO,
             // No interner fork: the merge's absorb step only
             // reproduces sequential interner state, which nothing
             // downstream of the merge reads.
@@ -1043,6 +1063,7 @@ fn red_op_from_tag(s: &str) -> Option<RedOp> {
 fn missing_outcome() -> LoopOutcome {
     LoopOutcome {
         charges: Vec::new(),
+        unbilled: Duration::ZERO,
         sym: None,
         cacheable: false,
         result: Err(SkipReason::InternalError {
@@ -1071,6 +1092,7 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
     let Some(unit) = rp.unit(unit_name) else {
         return LoopOutcome {
             charges: Vec::new(),
+            unbilled: Duration::ZERO,
             sym: None,
             cacheable: false,
             result: Err(SkipReason::UnitMissing),
@@ -1079,6 +1101,7 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
     if unit.lang == apar_minifort::Lang::C && !caps.multilingual {
         return LoopOutcome {
             charges: Vec::new(),
+            unbilled: Duration::ZERO,
             sym: None,
             cacheable: false,
             result: Err(SkipReason::ForeignLanguage),
@@ -1086,13 +1109,21 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
     }
 
     let pass = Cell::new(PassId::Others);
-    match catch_unwind(AssertUnwindSafe(|| analyze_loop_inner(ctx, info, &pass))) {
-        Ok(outcome) => outcome,
+    let t = Instant::now();
+    let caught = catch_unwind(AssertUnwindSafe(|| analyze_loop_inner(ctx, info, &pass)));
+    let wall = t.elapsed();
+    match caught {
+        Ok(mut outcome) => {
+            let billed: Duration = outcome.charges.iter().map(|&(_, w, _)| w).sum();
+            outcome.unbilled = wall.saturating_sub(billed);
+            outcome
+        }
         // The partial charges and interner fork die with the sandbox: a
         // panicked loop contributes nothing to the merge, which is the
         // only outcome reproducible at every thread count.
         Err(payload) => LoopOutcome {
             charges: Vec::new(),
+            unbilled: wall,
             sym: None,
             cacheable: false,
             result: Err(SkipReason::InternalError {
@@ -1139,6 +1170,7 @@ fn complexity_outcome(
 ) -> LoopOutcome {
     LoopOutcome {
         charges,
+        unbilled: Duration::ZERO,
         sym,
         cacheable,
         result: Ok(AnalyzedLoop {
@@ -1217,6 +1249,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
             None => {
                 return LoopOutcome {
                     charges,
+                    unbilled: Duration::ZERO,
                     sym: None,
                     cacheable: false,
                     result: Err(SkipReason::Degraded {
@@ -1277,6 +1310,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     let Some(aunit) = arp_ref.unit(unit_name) else {
         return LoopOutcome {
             charges,
+            unbilled: Duration::ZERO,
             sym: Some(sym),
             cacheable: false,
             result: Err(SkipReason::InlinedAway),
@@ -1285,6 +1319,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     let Some((var, lo, hi, step, body)) = find_do(aunit, info.id.stmt) else {
         return LoopOutcome {
             charges,
+            unbilled: Duration::ZERO,
             sym: Some(sym),
             cacheable: false,
             result: Err(SkipReason::HeaderMissing),
@@ -1351,6 +1386,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
         // loop as a structured skip rather than an index panic.
         return LoopOutcome {
             charges,
+            unbilled: Duration::ZERO,
             sym: Some(sym),
             cacheable: false,
             result: Err(SkipReason::InternalError {
@@ -1447,6 +1483,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
 
     LoopOutcome {
         charges,
+        unbilled: Duration::ZERO,
         sym: Some(sym),
         cacheable: true,
         result: Ok(AnalyzedLoop {

@@ -5,7 +5,8 @@
 //! relations, interprocedural constants) and consumed by the
 //! [`crate::Prover`]. Scoped refinement — e.g. entering the THEN branch
 //! of `IF (N .GT. 0)` — is expressed with [`AssumeEnv::child`] plus
-//! additional assumptions.
+//! additional assumptions. A child is a full copy, so callers that ask
+//! many questions under one refinement build it once and keep it.
 
 use std::collections::HashMap;
 
@@ -13,7 +14,8 @@ use crate::expr::Expr;
 use crate::intern::VarId;
 use crate::range::Range;
 
-/// A persistent map from variables to ranges with cheap scoped layering.
+/// A plain hash map from variables to ranges. Nothing is shared between
+/// an environment and its [`AssumeEnv::child`]: the copy is O(entries).
 #[derive(Clone, Debug, Default)]
 pub struct AssumeEnv {
     ranges: HashMap<VarId, Range>,
@@ -51,9 +53,14 @@ impl AssumeEnv {
         self.ranges.get(&v).cloned().unwrap_or_default()
     }
 
+    /// The assumption recorded for `v`, if any, without copying it.
+    pub fn get(&self, v: VarId) -> Option<&Range> {
+        self.ranges.get(&v)
+    }
+
     /// True if `v` has no usable bound in either direction.
     pub fn is_rangeless(&self, v: VarId) -> bool {
-        self.range_of(v).is_rangeless()
+        self.ranges.get(&v).is_none_or(Range::is_rangeless)
     }
 
     /// Constant value of `v`, if its range is an exact integer.
@@ -61,7 +68,7 @@ impl AssumeEnv {
         self.ranges.get(&v).and_then(Range::as_const)
     }
 
-    /// A copy to refine within a nested scope.
+    /// A full copy to refine within a nested scope.
     pub fn child(&self) -> AssumeEnv {
         self.clone()
     }

@@ -91,7 +91,7 @@ impl Expr {
 
     /// `self - rhs`.
     pub fn sub(&self, rhs: Expr) -> Expr {
-        match rhs.lin.neg().and_then(|n| self.lin.add(&n)) {
+        match self.lin.sub(&rhs.lin) {
             Some(lin) => Expr { lin },
             None => Expr::unknown(),
         }
@@ -293,6 +293,12 @@ impl Expr {
         vs
     }
 
+    /// True if variable `v` occurs anywhere in the expression (the
+    /// allocation-free form of `self.vars().contains(&v)`).
+    pub fn mentions(&self, v: VarId) -> bool {
+        self.any_atom(&mut |a| matches!(a, Atom::Var(x) if *x == v))
+    }
+
     /// Substitutes `repl` for every occurrence of variable `v`.
     pub fn subst(&self, v: VarId, repl: &Expr) -> Expr {
         self.subst_map(&mut |var| (var == v).then(|| repl.clone()))
@@ -302,25 +308,44 @@ impl Expr {
     pub fn subst_map(&self, f: &mut impl FnMut(VarId) -> Option<Expr>) -> Expr {
         let mut acc = Expr::int(self.lin.constant_part());
         for (c, m) in self.lin.terms() {
-            let mut term = Expr::int(*c);
-            for (a, p) in m.factors() {
-                let base = match a {
-                    Atom::Var(v) => f(*v).unwrap_or_else(|| Expr::var(*v)),
-                    Atom::Unknown(t) => Expr::from_atom(Atom::Unknown(*t)),
-                    Atom::Div(x, y) => x.subst_map(f).div(y.subst_map(f)),
-                    Atom::Mod(x, y) => x.subst_map(f).modulo(y.subst_map(f)),
+            // Each factor's image; `None` where the factor is its own
+            // (a variable `f` leaves alone, an opaque token). Nested
+            // atoms are always rebuilt, without looking inside first.
+            let images: Vec<Option<Expr>> = m
+                .factors()
+                .iter()
+                .map(|(a, _)| match a {
+                    Atom::Var(v) => f(*v),
+                    Atom::Unknown(_) => None,
+                    Atom::Div(x, y) => Some(x.subst_map(f).div(y.subst_map(f))),
+                    Atom::Mod(x, y) => Some(x.subst_map(f).modulo(y.subst_map(f))),
                     Atom::Min(xs) => {
-                        Expr::min_of(xs.iter().map(|e| e.subst_map(f)).collect())
+                        Some(Expr::min_of(xs.iter().map(|e| e.subst_map(f)).collect()))
                     }
                     Atom::Max(xs) => {
-                        Expr::max_of(xs.iter().map(|e| e.subst_map(f)).collect())
+                        Some(Expr::max_of(xs.iter().map(|e| e.subst_map(f)).collect()))
                     }
-                };
-                for _ in 0..*p {
-                    term = term.mul(base.clone());
+                })
+                .collect();
+            // A term none of whose factors moved is its own image: no
+            // need to multiply it back together one factor at a time.
+            let term = if images.iter().all(Option::is_none) {
+                Expr {
+                    lin: LinForm::from_canonical_term(*c, m.clone()),
                 }
+            } else {
+                let mut term = Expr::int(*c);
+                for (image, (a, p)) in images.into_iter().zip(m.factors()) {
+                    let base = image.unwrap_or_else(|| Expr::from_atom(a.clone()));
+                    for _ in 0..*p {
+                        term = term.mul(base.clone());
+                    }
+                }
+                term
+            };
+            if acc.lin.add_assign(&term.lin).is_none() {
+                acc = Expr::unknown();
             }
-            acc = acc.add(term);
         }
         acc
     }

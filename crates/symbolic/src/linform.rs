@@ -133,6 +133,16 @@ impl LinForm {
         }
     }
 
+    /// The form `c * m` for a nonzero `c` and non-unit `m` — one term
+    /// of an existing canonical form, lifted out unchanged.
+    pub(crate) fn from_canonical_term(c: i64, m: Monomial) -> Self {
+        debug_assert!(c != 0 && !m.is_unit());
+        LinForm {
+            constant: 0,
+            terms: vec![(c, m)],
+        }
+    }
+
     /// Constant part.
     pub fn constant_part(&self) -> i64 {
         self.constant
@@ -178,9 +188,74 @@ impl LinForm {
 
     /// `self + other`; `None` on overflow.
     pub fn add(&self, other: &LinForm) -> Option<LinForm> {
-        let mut raw = self.terms.clone();
-        raw.extend(other.terms.iter().cloned());
-        LinForm::from_terms(self.constant.checked_add(other.constant)?, raw)
+        self.merge(other, false)
+    }
+
+    /// `self - other`; `None` on overflow (including an `i64::MIN`
+    /// coefficient of `other`, which has no negation).
+    pub fn sub(&self, other: &LinForm) -> Option<LinForm> {
+        self.merge(other, true)
+    }
+
+    /// `self ± other` as one pass over the two sorted term lists: both
+    /// sides are canonical, so merging them in monomial order is
+    /// [`LinForm::from_terms`] without the sort.
+    fn merge(&self, other: &LinForm, negate: bool) -> Option<LinForm> {
+        let sign = |c: i64| if negate { c.checked_neg() } else { Some(c) };
+        let constant = self.constant.checked_add(sign(other.constant)?)?;
+        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let (mut i, mut j) = (0, 0);
+        while i < self.terms.len() && j < other.terms.len() {
+            let (ca, ma) = &self.terms[i];
+            let (cb, mb) = &other.terms[j];
+            match ma.cmp(mb) {
+                std::cmp::Ordering::Less => {
+                    terms.push((*ca, ma.clone()));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    terms.push((sign(*cb)?, mb.clone()));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let c = ca.checked_add(sign(*cb)?)?;
+                    if c != 0 {
+                        terms.push((c, ma.clone()));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        terms.extend_from_slice(&self.terms[i..]);
+        for (c, m) in &other.terms[j..] {
+            terms.push((sign(*c)?, m.clone()));
+        }
+        Some(LinForm { constant, terms })
+    }
+
+    /// `self += other` in place; `None` on overflow, after which `self`
+    /// holds a partial sum the caller must discard. Term by term this is
+    /// exactly [`LinForm::add`] — same sums, same overflow checks — minus
+    /// the copy of every term already accumulated, which is what makes
+    /// building a form from many small pieces linear instead of
+    /// quadratic.
+    pub(crate) fn add_assign(&mut self, other: &LinForm) -> Option<()> {
+        self.constant = self.constant.checked_add(other.constant)?;
+        for (c, m) in &other.terms {
+            match self.terms.binary_search_by(|(_, mine)| mine.cmp(m)) {
+                Ok(at) => {
+                    let sum = self.terms[at].0.checked_add(*c)?;
+                    if sum == 0 {
+                        self.terms.remove(at);
+                    } else {
+                        self.terms[at].0 = sum;
+                    }
+                }
+                Err(at) => self.terms.insert(at, (*c, m.clone())),
+            }
+        }
+        Some(())
     }
 
     /// `self * k`; `None` on overflow.
@@ -282,6 +357,46 @@ mod tests {
             two_x.add(&two_x.neg().unwrap()).unwrap().as_constant(),
             Some(0)
         );
+    }
+
+    #[test]
+    fn merged_add_and_sub_equal_the_sorting_reference() {
+        // `add`/`sub` merge two canonical term lists; the reference
+        // concatenates, negates and lets `from_terms` sort and fold.
+        let reference = |a: &LinForm, b: &LinForm, negate: bool| -> Option<LinForm> {
+            let b = if negate { b.neg()? } else { b.clone() };
+            let mut raw = a.terms.clone();
+            raw.extend(b.terms.iter().cloned());
+            LinForm::from_terms(a.constant.checked_add(b.constant)?, raw)
+        };
+        let coefs = [i64::MIN, -3, -1, 1, 2, i64::MAX];
+        let mut forms = Vec::new();
+        // Every subset of {x, y, x*y} with a rotating coefficient choice.
+        let monos = [
+            Monomial::atom(va(0)),
+            Monomial::atom(va(1)),
+            Monomial::atom(va(0)).mul(&Monomial::atom(va(1))),
+        ];
+        for mask in 0u32..8 {
+            for shift in 0..coefs.len() {
+                let terms = monos
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| mask & (1 << k) != 0)
+                    .map(|(k, m)| (coefs[(shift + 2 * k) % coefs.len()], m.clone()))
+                    .collect();
+                forms.push(LinForm::from_terms(coefs[shift], terms).expect("no duplicates"));
+            }
+        }
+        for a in &forms {
+            for b in &forms {
+                assert_eq!(a.add(b), reference(a, b, false), "{a:?} + {b:?}");
+                assert_eq!(a.sub(b), reference(a, b, true), "{a:?} - {b:?}");
+                let mut acc = a.clone();
+                let in_place = acc.add_assign(b).map(|()| acc);
+                assert_eq!(in_place, reference(a, b, false), "{a:?} += {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,22 @@ impl OpCounter {
         Ok(())
     }
 
+    /// Replays a recorded cost as one charge, but only when that cannot
+    /// change what the counter observes: it has not tripped and the
+    /// whole cost fits the budget. Charges are monotone, so the charges
+    /// the cost was recorded from would then all have succeeded and
+    /// left the counter in exactly this state. Returns false — having
+    /// charged nothing — when the work must run for real so that it
+    /// trips where it always did.
+    pub fn replay(&self, cost: u64) -> bool {
+        let spent = self.spent.get().saturating_add(cost);
+        if self.exceeded.get() || self.budget.is_some_and(|b| spent > b) {
+            return false;
+        }
+        self.spent.set(spent);
+        true
+    }
+
     /// Total ops charged so far (including any charge that tripped).
     pub fn spent(&self) -> u64 {
         self.spent.get()
@@ -109,6 +125,27 @@ mod tests {
         assert!(!c.exceeded());
         assert_eq!(c.spent(), 0);
         assert!(c.charge(5).is_ok());
+    }
+
+    #[test]
+    fn replay_charges_only_what_fits_untripped() {
+        let c = OpCounter::with_budget(10);
+        assert!(c.replay(4));
+        assert!(c.replay(6));
+        assert_eq!(c.spent(), 10);
+        // One more op would trip: nothing is charged, nothing latches.
+        assert!(!c.replay(1));
+        assert_eq!(c.spent(), 10);
+        assert!(!c.exceeded());
+        assert!(c.replay(0));
+        // Once tripped, nothing replays — not even a free charge.
+        assert!(c.charge(1).is_err());
+        assert!(!c.replay(0));
+        assert_eq!(c.spent(), 11);
+        let u = OpCounter::unlimited();
+        assert!(u.replay(u64::MAX));
+        assert!(u.replay(5));
+        assert_eq!(u.spent(), u64::MAX);
     }
 
     #[test]

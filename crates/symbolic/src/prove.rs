@@ -102,7 +102,12 @@ impl<'a> Prover<'a> {
     /// Proves `a != b`, by separation in either direction or by a GCD
     /// divisibility argument on `a - b`.
     pub fn prove_ne(&self, a: &Expr, b: &Expr) -> bool {
-        let d = a.sub(b.clone());
+        self.prove_nonzero(&a.sub(b.clone()))
+    }
+
+    /// Proves `d != 0` — [`Prover::prove_ne`] for a caller that already
+    /// holds the difference.
+    pub fn prove_nonzero(&self, d: &Expr) -> bool {
         if let Some(k) = d.as_int() {
             return k != 0;
         }
@@ -180,9 +185,9 @@ impl<'a> Prover<'a> {
         //    whose endpoint is itself symbolic go first — substituting
         //    them preserves correlations (I ∈ [1,N] into I - N cancels),
         //    whereas grounding N first would lose them.
-        let mut candidates: Vec<(VarId, Expr)> = Vec::new();
+        let mut candidates: Vec<(VarId, &Expr)> = Vec::new();
         for v in substitutable_vars(e) {
-            let r = self.env.range_of(v);
+            let Some(r) = self.env.get(v) else { continue };
             if r.is_rangeless() {
                 continue;
             }
@@ -191,11 +196,11 @@ impl<'a> Prover<'a> {
             };
             let repl = match (sign, upper) {
                 (Sign::Zero, _) => continue,
-                (Sign::Nonneg, true) | (Sign::Nonpos, false) => r.hi,
-                (Sign::Nonneg, false) | (Sign::Nonpos, true) => r.lo,
+                (Sign::Nonneg, true) | (Sign::Nonpos, false) => &r.hi,
+                (Sign::Nonneg, false) | (Sign::Nonpos, true) => &r.lo,
             };
             let Some(b) = repl else { continue };
-            if b.vars().contains(&v) {
+            if b.mentions(v) {
                 continue; // avoid non-terminating self-substitution
             }
             candidates.push((v, b));
@@ -205,49 +210,26 @@ impl<'a> Prover<'a> {
         // (innermost-first in a loop nest), because its replacement
         // cancels against the variables it depends on. `I' ∈ [I+1, N]`
         // must ground before `I ∈ [1, N]`, which must ground before `N`.
-        let cand_vars: Vec<VarId> = candidates.iter().map(|(v, _)| *v).collect();
-        let dep_depth = |v: VarId| -> usize {
-            // Bounded DFS over candidate bounds.
-            fn go(
-                v: VarId,
-                cands: &[(VarId, Expr)],
-                seen: &mut Vec<VarId>,
-            ) -> usize {
-                if seen.contains(&v) || seen.len() > 8 {
-                    return 0;
-                }
-                seen.push(v);
-                let d = cands
-                    .iter()
-                    .find(|(c, _)| *c == v)
-                    .map(|(_, b)| {
-                        b.vars()
-                            .into_iter()
-                            .filter(|u| cands.iter().any(|(c, _)| c == u))
-                            .map(|u| 1 + go(u, cands, seen))
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0);
-                seen.pop();
-                d
-            }
-            go(v, &candidates, &mut Vec::new())
-        };
-        let _ = &cand_vars;
-        let mut keyed: Vec<(usize, bool, VarId, Expr)> = candidates
-            .iter()
-            .map(|(v, b)| (dep_depth(*v), b.as_int().is_some(), *v, b.clone()))
-            .collect();
-        keyed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let candidates: Vec<(VarId, Expr)> =
-            keyed.into_iter().map(|(_, _, v, b)| (v, b)).collect();
+        // Ties keep variable order (the sort is stable), symbolic
+        // endpoints ahead of constant ones.
+        if candidates.len() > 1 {
+            let mut keyed: Vec<(usize, VarId, &Expr)> = candidates
+                .iter()
+                .map(|&(v, b)| (dep_depth(v, &candidates, &mut Vec::new()), v, b))
+                .collect();
+            keyed.sort_by(|a, b| {
+                b.0.cmp(&a.0)
+                    .then(a.2.as_int().is_some().cmp(&b.2.as_int().is_some()))
+            });
+            candidates.clear();
+            candidates.extend(keyed.into_iter().map(|(_, v, b)| (v, b)));
+        }
         // Symbolic endpoints first — they preserve correlations.
-        for (v, b) in &candidates {
+        for &(v, b) in &candidates {
             if b.as_int().is_some() {
                 continue;
             }
-            let next = e.subst(*v, b);
+            let next = e.subst(v, b);
             if next != *e {
                 return Some(next);
             }
@@ -261,11 +243,11 @@ impl<'a> Prover<'a> {
             return Some(next);
         }
         // 3. Constant endpoints last.
-        for (v, b) in &candidates {
+        for &(v, b) in &candidates {
             if b.as_int().is_none() {
                 continue;
             }
-            let next = e.subst(*v, b);
+            let next = e.subst(v, b);
             if next != *e {
                 return Some(next);
             }
@@ -403,15 +385,26 @@ impl<'a> Prover<'a> {
     /// The sign of `∂e/∂v`, established directly for constant derivatives
     /// and recursively otherwise.
     fn deriv_sign(&self, e: &Expr, v: VarId, depth: u32) -> Option<Sign> {
+        let const_sign = |k: i64| match k.cmp(&0) {
+            std::cmp::Ordering::Equal => Sign::Zero,
+            std::cmp::Ordering::Greater => Sign::Nonneg,
+            std::cmp::Ordering::Less => Sign::Nonpos,
+        };
+        // The common case — `v` occurs in one term only, alone and to
+        // the first power — has its coefficient for a derivative.
+        let mut with_v = e
+            .lin()
+            .terms()
+            .iter()
+            .filter(|(_, m)| m.factors().iter().any(|(a, _)| *a == Atom::Var(v)));
+        if let (Some((c, m)), None) = (with_v.next(), with_v.next()) {
+            if m.as_single_atom().is_some() {
+                return Some(const_sign(*c));
+            }
+        }
         let d = derivative(e, v);
         if let Some(k) = d.as_int() {
-            return Some(if k == 0 {
-                Sign::Zero
-            } else if k > 0 {
-                Sign::Nonneg
-            } else {
-                Sign::Nonpos
-            });
+            return Some(const_sign(k));
         }
         if depth == 0 {
             return None;
@@ -429,6 +422,30 @@ impl<'a> Prover<'a> {
             None
         }
     }
+}
+
+/// How many substitutions deep `v`'s endpoint reaches into the other
+/// candidates: 0 when it mentions none of them. A bounded DFS (`seen`
+/// breaks cycles and caps the chain length).
+fn dep_depth(v: VarId, cands: &[(VarId, &Expr)], seen: &mut Vec<VarId>) -> usize {
+    if seen.contains(&v) || seen.len() > 8 {
+        return 0;
+    }
+    let Some(&(_, b)) = cands.iter().find(|(c, _)| *c == v) else {
+        return 0;
+    };
+    seen.push(v);
+    let mut depth = 0;
+    b.any_atom(&mut |a| {
+        if let Atom::Var(u) = a {
+            if cands.iter().any(|(c, _)| c == u) {
+                depth = depth.max(1 + dep_depth(*u, cands, seen));
+            }
+        }
+        false
+    });
+    seen.pop();
+    depth
 }
 
 /// Variables of `e` that occur *only* as plain monomial factors (never

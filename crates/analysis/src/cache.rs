@@ -268,8 +268,9 @@ impl AnalysisCache {
     /// loop that asked, while later lookups get a fresh chance.
     pub fn facts(&self, rp: &ResolvedProgram) -> Arc<ProgramFacts> {
         let fp = Self::fingerprint(rp);
-        if let Some(f) = self.lookup(fp) {
-            return f;
+        if let Some(f) = self.lock().get(&fp) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(f);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.build(rp)))
@@ -288,23 +289,6 @@ impl AnalysisCache {
             return Arc::new(built);
         }
         Arc::clone(self.lock().entry(fp).or_insert(Arc::new(built)))
-    }
-
-    /// Lookup-only access for the facts-only degraded tier: returns the
-    /// facts for `rp` when this compile already holds them and `None`
-    /// otherwise — never builds. Misses cost one fingerprint, nothing
-    /// more.
-    pub fn cached_facts(&self, rp: &ResolvedProgram) -> Option<Arc<ProgramFacts>> {
-        self.lookup(Self::fingerprint(rp))
-    }
-
-    /// The resident entry for a fingerprint, counted as a hit.
-    fn lookup(&self, fp: u64) -> Option<Arc<ProgramFacts>> {
-        let hit = self.lock().get(&fp).map(Arc::clone);
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
     }
 
     /// Seeds the cache with facts computed elsewhere (the driver's
@@ -499,23 +483,6 @@ mod tests {
         let canonical = cache.facts(&p);
         assert!(facts.iter().all(|f| Arc::ptr_eq(f, &canonical)));
         assert_eq!(cache.len(), 1);
-    }
-
-    const SRC_CALL: &str =
-        "PROGRAM P\nCOMMON /C/ K\nK = 1\nCALL S\nEND\nSUBROUTINE S\nCOMMON /C/ M\nM = 2\nEND\n";
-
-    #[test]
-    fn cached_facts_looks_up_but_never_builds() {
-        let p = rp(SRC_CALL);
-        let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new());
-        assert!(
-            cache.cached_facts(&p).is_none(),
-            "cold cache must not build"
-        );
-        assert_eq!((cache.misses(), cache.len()), (0, 0));
-        let f = cache.facts(&p);
-        let g = cache.cached_facts(&p).expect("resident after the build");
-        assert!(Arc::ptr_eq(&f, &g));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 pub mod cancel;
 pub mod classify;
+pub mod fanout;
 pub mod jsonio;
 pub mod nesting;
 pub mod pipeline;
@@ -32,6 +33,7 @@ pub mod report;
 
 pub use cancel::CancelToken;
 pub use classify::Classification;
+pub use fanout::fan_out;
 pub use pipeline::{CompileResult, Compiler, EmitResult, LoopReport, SplicedLoop};
 pub use profile::CompilerProfile;
 pub use report::{CompileReport, DegradeTier, PassId};

@@ -5,7 +5,6 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -386,10 +385,9 @@ impl Compiler {
         // compile's outcome stored under the same key spliced in below
         // is bit-identical to re-analysis by construction. Disabled
         // under fault injection (a splice would skip the injected
-        // panic) and on degraded tiers (their outcomes are not full
-        // analyses).
+        // panic). The parse-only tier returned above, so every compile
+        // that gets here is a full analysis.
         let splice_keys: Option<Vec<u64>> = if self.loop_store.is_some()
-            && self.degrade == DegradeTier::Full
             && self.profile.fault.is_none()
         {
             let knobs = incr::Knobs {
@@ -436,9 +434,7 @@ impl Compiler {
         // resolved on this thread, in loop order, so hit/refusal
         // accounting is deterministic.
         let n = forest.loops.len();
-        let mut slots: Vec<Option<LoopOutcome>> = Vec::new();
-        slots.resize_with(n, || None);
-        let mut was_spliced = vec![false; n];
+        let mut slots: Vec<Option<LoopOutcome>> = (0..n).map(|_| None).collect();
         if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
             for (i, info) in forest.loops.iter().enumerate() {
                 let Some(rec) = store.loop_get(keys[i]) else {
@@ -448,7 +444,6 @@ impl Compiler {
                     Ok(s) if s.matches(info) => {
                         store.note_loop_hit();
                         slots[i] = Some(s.to_outcome());
-                        was_spliced[i] = true;
                     }
                     _ => store.note_loop_refusal(),
                 }
@@ -465,49 +460,17 @@ impl Compiler {
                 cp: &cp,
                 cache: &cache,
                 cancel: self.cancel.as_ref(),
-                facts_only: self.degrade == DegradeTier::FactsOnly,
             };
             let work: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
-            let threads = self.profile.threads.max(1).min(work.len().max(1));
-            if threads <= 1 {
-                for &i in &work {
-                    slots[i] = Some(analyze_loop(&ctx, &forest.loops[i]));
-                }
-            } else {
-                let next = AtomicUsize::new(0);
-                let shards: Vec<Vec<(usize, LoopOutcome)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            let ctx = &ctx;
-                            let next = &next;
-                            let work = &work;
-                            let loops = &forest.loops;
-                            scope.spawn(move || {
-                                let mut mine = Vec::new();
-                                loop {
-                                    let w = next.fetch_add(1, Ordering::Relaxed);
-                                    if w >= work.len() {
-                                        break;
-                                    }
-                                    let i = work[w];
-                                    mine.push((i, analyze_loop(ctx, &loops[i])));
-                                }
-                                mine
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                for (i, o) in shards.into_iter().flatten() {
-                    slots[i] = Some(o);
-                }
+            let analyzed = crate::fan_out(work.len(), self.profile.threads, |w| {
+                analyze_loop(&ctx, &forest.loops[work[w]])
+            });
+            for (i, o) in work.into_iter().zip(analyzed) {
+                slots[i] = Some(o);
             }
             slots
                 .into_iter()
-                .map(|o| o.unwrap_or_else(missing_outcome))
+                .map(|o| o.expect("every loop was spliced or analyzed"))
                 .collect()
         };
 
@@ -530,9 +493,10 @@ impl Compiler {
             // Publish fresh, cacheable outcomes under their content key
             // for later compiles to splice. Nothing content-coupled to
             // the rest of the program (facts-build budget trips) or
-            // non-analyses (panics, deadline expiries) is ever stored.
+            // non-analyses (panics, deadline expiries) is ever stored,
+            // and a spliced outcome is never `cacheable` again.
             if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
-                if !was_spliced[i] && outcome.cacheable {
+                if outcome.cacheable {
                     if let Ok(a) = &outcome.result {
                         store.loop_put(
                             keys[i],
@@ -756,8 +720,6 @@ struct LoopCtx<'a> {
     /// The compile's cancellation token, checked at the watchdog's own
     /// trip sites.
     cancel: Option<&'a CancelToken>,
-    /// Facts-only tier: per-loop facts may be looked up but never built.
-    facts_only: bool,
 }
 
 impl LoopCtx<'_> {
@@ -1057,22 +1019,6 @@ fn red_op_from_tag(s: &str) -> Option<RedOp> {
     })
 }
 
-/// A fan-out slot nobody filled. Unreachable by construction (every
-/// index is claimed exactly once); kept as a structured skip instead of
-/// an assert so a bookkeeping bug degrades one loop, not the compile.
-fn missing_outcome() -> LoopOutcome {
-    LoopOutcome {
-        charges: Vec::new(),
-        unbilled: Duration::ZERO,
-        sym: None,
-        cacheable: false,
-        result: Err(SkipReason::InternalError {
-            pass: PassId::Others,
-            message: "loop outcome missing after fan-out".to_string(),
-        }),
-    }
-}
-
 /// Analyzes one loop against the pristine resolved program. Pure with
 /// respect to the fan-out: the only shared state is the read-only
 /// context and the internally synchronized analysis cache, so the
@@ -1240,24 +1186,8 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     // replaces the per-loop CallGraph / Summaries / AliasInfo rebuilds
     // the sequential driver used to issue. The worker's interner adopts
     // the facts' recorded state so the `summaries` VarIds resolve.
-    // Under the facts-only tier the cache may only hand out facts this
-    // compile already holds — a miss skips the loop instead of building.
     enter_pass(ctx, info, PassId::Others, pass);
     let facts: Arc<ProgramFacts> = match &arp {
-        Some(srp) if ctx.facts_only => match ctx.cache.cached_facts(srp) {
-            Some(f) => f,
-            None => {
-                return LoopOutcome {
-                    charges,
-                    unbilled: Duration::ZERO,
-                    sym: None,
-                    cacheable: false,
-                    result: Err(SkipReason::Degraded {
-                        tier: DegradeTier::FactsOnly,
-                    }),
-                }
-            }
-        },
         Some(srp) => ctx.cache.facts(srp),
         None => Arc::clone(ctx.base),
     };
@@ -1976,29 +1906,6 @@ mod tests {
             }
         ));
         assert!(r.report.statements > 0, "the front end still ran");
-    }
-
-    #[test]
-    fn facts_only_tier_analyzes_callless_loops_and_skips_cold_call_loops() {
-        let src = "PROGRAM P\nREAL A(100), B(100)\nDO I = 1, 100\nA(I) = B(I) + 1.0\nENDDO\nDO I = 1, 100\nCALL SET(B, I)\nENDDO\nEND\nSUBROUTINE SET(X, K)\nREAL X(*)\nX(K) = K * 2.0\nEND\n";
-        let r = Compiler::new(CompilerProfile::polaris2008())
-            .with_degrade(DegradeTier::FactsOnly)
-            .compile_source("test", src)
-            .expect("compile");
-        assert_eq!(r.report.degrade, Some(DegradeTier::FactsOnly));
-        // The call-free loop rides on the seeded base facts and is
-        // fully analyzed even at the degraded tier.
-        let plain = r.loops.iter().find(|l| l.unit == "P").expect("analyzed");
-        assert_eq!(plain.classification, Classification::Autoparallelized);
-        // The call loop needs inlined-program facts the cold cache
-        // doesn't have; facts-only refuses to build them.
-        assert!(r.report.skipped.iter().any(|s| matches!(
-            s.reason,
-            SkipReason::Degraded {
-                tier: DegradeTier::FactsOnly
-            }
-        )));
-        assert_eq!(r.loops.len() + r.report.skipped.len(), r.report.loops);
     }
 
     #[test]

@@ -53,19 +53,18 @@ pub struct PassCost {
 }
 
 /// How much of the pipeline a compile was asked to run. Under overload
-/// or deadline pressure the service degrades work rather than queueing
-/// it unboundedly: `Full` is the normal pipeline, `FactsOnly` answers
-/// per-loop analysis only from already-cached interprocedural facts
-/// (never builds new ones), and `ParseOnly` stops after the recovering
-/// front end (parse + diagnose, every loop ledgered as skipped).
+/// the service degrades work rather than queueing it unboundedly:
+/// `Full` is the normal pipeline and `ParseOnly` stops after the
+/// recovering front end (parse + diagnose, every loop ledgered as
+/// skipped) at 6–23 % of a full compile's wall. There is no tier in
+/// between: analysis cost is per-loop inlining plus dependence
+/// testing, and no subset of it sheds enough to be worth a class
+/// (EXPERIMENTS.md, "Degrade tiers").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DegradeTier {
     /// The full analysis pipeline.
     #[default]
     Full,
-    /// Per-loop analysis may only *adopt* cached facts; a facts miss
-    /// skips the loop instead of building.
-    FactsOnly,
     /// Front end only: parse, diagnose, count loops; no analysis.
     ParseOnly,
 }
@@ -74,7 +73,6 @@ impl DegradeTier {
     pub fn label(&self) -> &'static str {
         match self {
             DegradeTier::Full => "full",
-            DegradeTier::FactsOnly => "facts-only",
             DegradeTier::ParseOnly => "parse-only",
         }
     }
@@ -120,8 +118,7 @@ pub enum SkipReason {
     /// kept their reports, the rest landed here.
     DeadlineExpired,
     /// The compile ran at a degraded tier that does not perform the
-    /// analysis this loop would have needed (facts-only tier with a
-    /// facts miss, or the parse-only tier).
+    /// analysis this loop would have needed (the parse-only tier).
     Degraded {
         /// The tier that was in force.
         tier: DegradeTier,

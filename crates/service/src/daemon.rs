@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use apar_core::jsonio::{Json, ToJson};
 
-use crate::{CompileService, SuiteArtifact, SuiteOutcome, SuiteRequest};
+use crate::{CompileService, ServiceStats, SuiteArtifact, SuiteOutcome, SuiteRequest};
 
 /// Upper bound on one `SRC` request's line count — a hostile header
 /// like `SRC x 99999999999` must not stall the loop reading forever.
@@ -53,6 +53,41 @@ pub struct ServeSummary {
     pub rejected: usize,
     /// True when the loop ended on `QUIT` rather than EOF.
     pub quit: bool,
+}
+
+/// The `STATS` answer (lifetime stats) and the batch stats JSON
+/// `apar-serve --stats` writes: every wire rendering of the service's
+/// state lives in this module.
+impl ToJson for ServiceStats {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("suites", self.suites.to_json()),
+            ("cold", self.cold.to_json()),
+            ("result_hits", self.result_hits.to_json()),
+            ("deduped", self.deduped.to_json()),
+            ("failed", self.failed.to_json()),
+            ("rejected", self.rejected.to_json()),
+            ("deadline_expired", self.deadline_expired.to_json()),
+            ("quarantined", self.quarantined.to_json()),
+            ("degraded", self.degraded.to_json()),
+            ("pending_peak", self.pending_peak.to_json()),
+            ("quarantined_suites", self.quarantined_suites.to_json()),
+            ("result_evictions", self.result_evictions.to_json()),
+            ("loop_hits", self.facts.loop_hits.to_json()),
+            ("loop_misses", self.facts.loop_misses.to_json()),
+            ("loop_refusals", self.facts.loop_refusals.to_json()),
+            ("loop_entries", self.facts.loop_entries.to_json()),
+            ("loop_evictions", self.facts.loop_evictions.to_json()),
+            ("wall_s", self.wall_s.to_json()),
+            ("suites_per_s", self.suites_per_s.to_json()),
+            ("per_suite_wall_s", self.per_suite_wall_s.to_json()),
+        ];
+        // One source of truth for store fields: `StoreStats::fields`
+        // renders here, in the daemon's STATS answer (same path), and
+        // in its HEALTH reply — the three reports cannot disagree.
+        fields.extend(self.store.fields());
+        Json::Obj(fields)
+    }
 }
 
 /// The `HEALTH` answer: everything an operator needs to see whether an

@@ -31,11 +31,10 @@
 //! Resilience: every request can carry a wall-clock **deadline**
 //! (cooperatively cancelled at pass checkpoints —
 //! [`Served::DeadlineExpired`]); admission is bounded by a pending
-//! queue with an explicit **shed policy** ([`Served::Rejected`]) and a
-//! high/low **watermark** pair that also picks a graceful
-//! **degradation tier** (full → facts-only → parse-only,
-//! [`Served::Degraded`]); and suites whose builds crash-loop are
-//! **quarantined** with strike counting and
+//! queue that sheds the oldest overflow ([`Served::Rejected`]) and a
+//! high/low **watermark** pair whose high mark also **degrades**
+//! compiles to parse-only ([`Served::Degraded`]); and suites whose
+//! builds crash-loop are **quarantined** with strike counting and
 //! exponential backoff ([`Served::Quarantined`]). Only full,
 //! non-degraded responses enter the result cache, so cached answers
 //! stay bit-identical to plain compiles.
@@ -43,20 +42,21 @@
 pub mod daemon;
 pub mod store;
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apar_analysis::cache::LoopRecord;
 use apar_analysis::{LoopRecordStore, LoopStoreStats, SyncLru};
-use apar_core::jsonio::{Json, ToJson};
+use apar_core::jsonio::Json;
 use apar_core::{
-    CancelToken, CompileResult, Compiler, CompilerProfile, DegradeTier, EmitResult, SplicedLoop,
+    fan_out, CancelToken, CompileResult, Compiler, CompilerProfile, DegradeTier, EmitResult,
+    SplicedLoop,
 };
 
 pub use store::{PersistentStore, StoreFaults, StoreStats, Tier};
@@ -89,19 +89,6 @@ impl SuiteRequest {
     }
 }
 
-/// Which pending compiles to shed when a batch would overflow the
-/// bounded queue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Shed the earliest requests in the batch (oldest work is most
-    /// likely to have missed its usefulness window).
-    #[default]
-    OldestFirst,
-    /// Shed the largest sources first (most pool time recovered per
-    /// rejection); ties break toward the earlier request.
-    LargestFirst,
-}
-
 /// Everything that bounds a [`CompileService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -118,17 +105,17 @@ pub struct ServiceConfig {
     /// Suite result cache: maximum retained entries.
     pub result_entries: usize,
     /// Bounded pending queue: a batch whose compiles would push the
-    /// pending depth past this is shed down to fit
-    /// ([`Served::Rejected`]).
+    /// pending depth past this is shed down to fit, earliest requests
+    /// first — oldest work is most likely to have missed its
+    /// usefulness window ([`Served::Rejected`]).
     pub max_pending: usize,
-    /// Which requests get shed on overflow.
-    pub shed: ShedPolicy,
     /// Pending depth at which the service reports overload (daemon
-    /// requests are rejected) and compiles degrade to parse-only.
+    /// requests are rejected); compiles admitted past it degrade to
+    /// parse-only.
     pub high_watermark: usize,
     /// Pending depth the service must drain to before overload clears
     /// (hysteresis — the daemon recovers instead of thrashing at the
-    /// boundary). Between low and high, compiles run facts-only.
+    /// boundary).
     pub low_watermark: usize,
     /// Failed/panicking compiles of one suite before it is quarantined
     /// (answered from the ledger without compiling). 0 disables the
@@ -148,7 +135,6 @@ impl Default for ServiceConfig {
             loop_entries: 2048,
             result_entries: 256,
             max_pending: 64,
-            shed: ShedPolicy::OldestFirst,
             high_watermark: 48,
             low_watermark: 24,
             quarantine_strikes: 3,
@@ -177,8 +163,8 @@ pub enum Served {
     /// The suite is quarantined after repeated failed builds; answered
     /// from the strike ledger without burning the pool.
     Quarantined,
-    /// Compiled at a degraded tier (facts-only or parse-only) under
-    /// overload pressure. The artifact says which tier. Not cached.
+    /// Compiled at the degraded (parse-only) tier under overload
+    /// pressure. The artifact says which tier. Not cached.
     Degraded,
 }
 
@@ -308,38 +294,6 @@ pub struct ServiceStats {
     pub per_suite_wall_s: Vec<(String, f64)>,
 }
 
-impl ToJson for ServiceStats {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("suites", self.suites.to_json()),
-            ("cold", self.cold.to_json()),
-            ("result_hits", self.result_hits.to_json()),
-            ("deduped", self.deduped.to_json()),
-            ("failed", self.failed.to_json()),
-            ("rejected", self.rejected.to_json()),
-            ("deadline_expired", self.deadline_expired.to_json()),
-            ("quarantined", self.quarantined.to_json()),
-            ("degraded", self.degraded.to_json()),
-            ("pending_peak", self.pending_peak.to_json()),
-            ("quarantined_suites", self.quarantined_suites.to_json()),
-            ("result_evictions", self.result_evictions.to_json()),
-            ("loop_hits", self.facts.loop_hits.to_json()),
-            ("loop_misses", self.facts.loop_misses.to_json()),
-            ("loop_refusals", self.facts.loop_refusals.to_json()),
-            ("loop_entries", self.facts.loop_entries.to_json()),
-            ("loop_evictions", self.facts.loop_evictions.to_json()),
-            ("wall_s", self.wall_s.to_json()),
-            ("suites_per_s", self.suites_per_s.to_json()),
-            ("per_suite_wall_s", self.per_suite_wall_s.to_json()),
-        ];
-        // One source of truth for store fields: `StoreStats::fields`
-        // renders here, in the daemon's STATS answer (same path), and
-        // in its HEALTH reply — the three reports cannot disagree.
-        fields.extend(self.store.fields());
-        Json::Obj(fields)
-    }
-}
-
 /// A completed batch: one outcome per request, in request order, plus
 /// the batch-scoped stats.
 #[derive(Debug)]
@@ -377,14 +331,11 @@ impl StrikeLedger {
     fn check(&self, key: u64) -> Option<u32> {
         let mut records = self.records.lock();
         let e = records.get(key)?;
-        match e.until {
-            Some(t) if Instant::now() < t => Some(e.strikes),
-            Some(_) => {
-                e.until = None;
-                None
-            }
-            None => None,
+        if e.until.is_some_and(|t| Instant::now() < t) {
+            return Some(e.strikes);
         }
+        e.until = None;
+        None
     }
 
     /// Records a failed build (contained panic) against a suite;
@@ -433,6 +384,57 @@ impl Drop for AdmissionHold<'_> {
     }
 }
 
+/// One resident result-cache entry.
+#[derive(Clone)]
+struct CachedResult {
+    artifact: Arc<SuiteArtifact>,
+    /// The `(name, source)` the artifact was compiled from — what the
+    /// results log's record of this entry is (re)written from. Kept
+    /// only when a durable store is attached; a memory-only service
+    /// retains no sources.
+    origin: Option<Arc<(String, String)>>,
+}
+
+/// What `compile_many` decided for one request before any compile ran
+/// — the one place that knows a request's fate.
+enum Plan {
+    /// Refused from the strike ledger.
+    Quarantined(Arc<SuiteArtifact>),
+    /// Same suite key as the earlier request at this index: shares
+    /// whatever that owner got.
+    Dup(usize),
+    /// Answered from the result cache, with the lookup's wall seconds.
+    Hit(Arc<SuiteArtifact>, f64),
+    /// Shed by admission control.
+    Shed(Arc<SuiteArtifact>),
+    /// Compiled as this batch's n-th job.
+    Job(usize),
+}
+
+/// Requests answered per [`Served`] class, contained panics and busy
+/// wall. A batch fills one; the service folds each batch's into its
+/// lifetime copy, so [`Batch::stats`] and
+/// [`CompileService::cumulative_stats`] cannot count differently.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Indexed by `Served as usize`.
+    served: [usize; Served::Degraded as usize + 1],
+    /// Requests whose artifact is [`SuiteArtifact::Failed`] (counted
+    /// beside their class, not instead of it).
+    failed: usize,
+    wall_s: f64,
+}
+
+impl Tally {
+    fn fold(&mut self, batch: &Tally) {
+        for (mine, theirs) in self.served.iter_mut().zip(batch.served) {
+            *mine += theirs;
+        }
+        self.failed += batch.failed;
+        self.wall_s += batch.wall_s;
+    }
+}
+
 /// The service: a worker pool plus the two cross-compile caches.
 ///
 /// Thread-safe (`&self` methods); wrap in an `Arc` to share between a
@@ -448,13 +450,9 @@ pub struct CompileService {
     /// replaying a compile that could not match.
     profile_id: u64,
     loops: Arc<LoopRecordStore>,
-    results: SyncLru<Arc<SuiteArtifact>>,
+    results: SyncLru<CachedResult>,
     /// Durable two-tier store; `None` = memory-only service.
     store: Option<PersistentStore>,
-    /// Result-record payloads retained for compaction rewrites (the
-    /// result cache itself holds artifacts, not sources, so compaction
-    /// could not otherwise rebuild the log). FIFO-bounded.
-    persisted_results: Mutex<Vec<(u64, Json)>>,
     /// Suites struck out by repeated failed builds.
     strikes: StrikeLedger,
     /// Compiles admitted (or capacity held) but not yet finished.
@@ -464,18 +462,8 @@ pub struct CompileService {
     /// once pending drains to `low_watermark`.
     overload_latch: AtomicBool,
     created: Instant,
-    // Lifetime counters (the daemon's STATS answer).
-    suites: AtomicUsize,
-    cold: AtomicUsize,
-    hits: AtomicUsize,
-    deduped: AtomicUsize,
-    failed: AtomicUsize,
-    rejected: AtomicUsize,
-    expired: AtomicUsize,
-    quarantined: AtomicUsize,
-    degraded: AtomicUsize,
-    /// Cumulative busy wall, in microseconds.
-    busy_us: AtomicU64,
+    /// Every batch's tally, folded (the daemon's STATS answer).
+    lifetime: Mutex<Tally>,
 }
 
 impl CompileService {
@@ -500,7 +488,6 @@ impl CompileService {
             loops,
             results: SyncLru::new(config.result_entries),
             store: None,
-            persisted_results: Mutex::new(Vec::new()),
             // The ledger is bounded like everything else in the service.
             strikes: StrikeLedger {
                 records: SyncLru::new((config.result_entries * 4).max(64)),
@@ -512,16 +499,7 @@ impl CompileService {
             peak_pending: AtomicUsize::new(0),
             overload_latch: AtomicBool::new(false),
             created: Instant::now(),
-            suites: AtomicUsize::new(0),
-            cold: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            deduped: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            expired: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-            degraded: AtomicUsize::new(0),
-            busy_us: AtomicU64::new(0),
+            lifetime: Mutex::new(Tally::default()),
         }
     }
 
@@ -541,19 +519,16 @@ impl CompileService {
     /// recovers instead of thrashing at the boundary.
     pub fn overloaded(&self) -> bool {
         let depth = self.pending();
-        if self.overload_latch.load(Ordering::SeqCst) {
-            if depth <= self.config.low_watermark {
-                self.overload_latch.store(false, Ordering::SeqCst);
-                false
-            } else {
-                true
-            }
-        } else if depth >= self.config.high_watermark {
-            self.overload_latch.store(true, Ordering::SeqCst);
-            true
+        let latched = self.overload_latch.load(Ordering::SeqCst);
+        let overloaded = if latched {
+            depth > self.config.low_watermark
         } else {
-            false
+            depth >= self.config.high_watermark
+        };
+        if overloaded != latched {
+            self.overload_latch.store(overloaded, Ordering::SeqCst);
         }
+        overloaded
     }
 
     /// Occupy `n` pending slots until the returned hold drops — lets
@@ -600,14 +575,9 @@ impl CompileService {
         self.attach_store(PersistentStore::open(dir))
     }
 
-    /// [`CompileService::with_store`] with a deterministic I/O fault
-    /// plan armed — the crash-torture harness's entry point.
-    pub fn with_store_faults(self, dir: impl AsRef<Path>, faults: StoreFaults) -> Self {
-        self.attach_store(PersistentStore::open_with_faults(dir, faults))
-    }
-
     /// Attaches an already-opened store (tests tune compaction bounds
-    /// on the store before attaching) and runs recovery.
+    /// on it first; the crash-torture harness arms
+    /// [`PersistentStore::open_with_faults`]) and runs recovery.
     pub fn attach_store(mut self, store: PersistentStore) -> Self {
         self.store = Some(store);
         self.recover_from_store();
@@ -622,9 +592,7 @@ impl CompileService {
 
     /// Why the attached store is read-only, if it is.
     pub fn store_read_only_reason(&self) -> Option<String> {
-        self.store
-            .as_ref()
-            .and_then(|s| s.read_only_reason().map(str::to_string))
+        self.store.as_ref()?.read_only_reason().map(str::to_string)
     }
 
     /// Recovery: adopt whatever the durable store salvages, trusting
@@ -642,18 +610,16 @@ impl CompileService {
         // Tier order matters: loops first (they make the result-tier
         // replays cheap), then results.
         for rec in &loaded.loops {
-            let adopted = rec.u64_field("k").and_then(|key| {
-                let s = SplicedLoop::from_json(rec.get("rec")?)?;
-                Some((key, s))
-            });
-            match adopted {
-                Some((key, s)) => {
-                    self.loops.loop_put(key, Arc::new(s));
-                    store.mark_seen(Tier::Loops, key);
-                    store.note_recovered(Tier::Loops);
-                }
-                None => store.note_verify_refusal(),
-            }
+            let parsed = rec
+                .u64_field("k")
+                .zip(rec.get("rec").and_then(SplicedLoop::from_json));
+            let Some((key, s)) = parsed else {
+                store.count(|c| c.refused_verify += 1);
+                continue;
+            };
+            self.loops.loop_put(key, Arc::new(s));
+            store.mark_seen(Tier::Loops, key);
+            store.count(|c| c.recovered_loops += 1);
         }
 
         for rec in &loaded.results {
@@ -666,89 +632,45 @@ impl CompileService {
                 ))
             })();
             let Some((name, src, sig, pid)) = parsed else {
-                store.note_verify_refusal();
+                store.count(|c| c.refused_verify += 1);
                 continue;
             };
             if pid != self.profile_id || sig.is_empty() {
-                store.note_identity_refusal();
+                store.count(|c| c.refused_identity += 1);
                 continue;
             }
             // Mark before compiling so the post-batch persist pass of
             // the replay compile doesn't re-append the same record.
             let key = self.suite_key(&src);
             store.mark_seen(Tier::Results, key);
-            let outcome = self.compile_one(SuiteRequest::new(name.clone(), src.clone()));
+            let outcome = self.compile_one(SuiteRequest::new(name, src));
             if outcome.artifact.signature() == sig {
-                store.note_recovered(Tier::Results);
-                self.retain_result_record(key, result_payload(key, pid, &name, &src, &sig));
+                store.count(|c| c.recovered_results += 1);
             } else {
                 // The stored echo does not reproduce: the record is
                 // corrupt (or from different code). The live compile
                 // stands on its own — only the record is refused.
-                store.note_verify_refusal();
+                store.count(|c| c.refused_verify += 1);
             }
         }
     }
 
-    /// Remembers a result record for compaction rewrites, FIFO-bounded
-    /// to twice the result-cache capacity.
-    fn retain_result_record(&self, key: u64, payload: Json) {
-        let mut kept = self.persisted_results.lock().unwrap_or_else(|p| p.into_inner());
-        kept.retain(|(k, _)| *k != key);
-        kept.push((key, payload));
-        let cap = self.config.result_entries.saturating_mul(2).max(1);
-        while kept.len() > cap {
-            kept.remove(0);
-        }
-    }
-
-    /// Post-batch persistence: append every not-yet-persisted loop
-    /// record and cacheable cold result to the tier logs, then compact
-    /// any log past its byte bound. Read-only stores skip all of it.
-    fn persist_after_batch(&self, batch: &[SuiteRequest], keys: &[u64], outcomes: &[SuiteOutcome]) {
-        let Some(store) = &self.store else { return };
-        if store.read_only_reason().is_some() {
+    /// Post-batch persistence: checkpoint both tiers from their live
+    /// caches ([`PersistentStore::sync`]). Snapshots are taken under
+    /// the cache locks; encoding and I/O run outside them. A read-only
+    /// store skips all of it.
+    fn persist_after_batch(&self) {
+        let Some(store) = self.store.as_ref().filter(|s| s.read_only_reason().is_none()) else {
             return;
-        }
-
-        let resident = self.loops.loop_snapshot();
-        let new_loops: Vec<Json> = resident
-            .iter()
-            .filter(|(k, _)| store.mark_seen(Tier::Loops, *k))
-            .filter_map(|(k, rec)| loop_payload(*k, rec))
-            .collect();
-        store.append(Tier::Loops, &new_loops);
-
-        let mut new_results = Vec::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            if o.served != Served::Cold || !Self::cacheable(&o.artifact) {
-                continue;
-            }
-            let sig = o.artifact.signature();
-            if sig.is_empty() || !store.mark_seen(Tier::Results, keys[i]) {
-                continue;
-            }
-            let payload = result_payload(keys[i], self.profile_id, &o.name, &batch[i].source, &sig);
-            self.retain_result_record(keys[i], payload.clone());
-            new_results.push(payload);
-        }
-        store.append(Tier::Results, &new_results);
-
-        if store.wants_compaction(Tier::Loops) {
-            let all: Vec<(u64, Json)> = resident
-                .iter()
-                .filter_map(|(k, rec)| Some((*k, loop_payload(*k, rec)?)))
-                .collect();
-            store.compact(Tier::Loops, &all);
-        }
-        if store.wants_compaction(Tier::Results) {
-            let kept = self
-                .persisted_results
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clone();
-            store.compact(Tier::Results, &kept);
-        }
+        };
+        store.sync(Tier::Loops, &self.loops.loop_snapshot(), loop_payload);
+        let results: Vec<(u64, CachedResult)> =
+            self.results.lock().iter().map(|(k, e)| (k, e.clone())).collect();
+        store.sync(Tier::Results, &results, |key, e| {
+            let (name, src) = &**e.origin.as_ref()?;
+            let sig = e.artifact.signature();
+            Some(result_payload(key, self.profile_id, name, src, &sig))
+        });
     }
 
     /// Cache key for one suite: the profile identity (which covers
@@ -780,162 +702,112 @@ impl CompileService {
     /// contained panic. Anything else would replay a partial (or
     /// poisoned) answer forever.
     fn cacheable(art: &SuiteArtifact) -> bool {
+        art.compile().is_some_and(|r| {
+            !r.report.deadline_expired
+                && r.report.degrade.is_none()
+                && r.report.panicked_loops() == 0
+        })
+    }
+
+    /// The class a finished job is served under. Expiry outranks tier
+    /// degradation; a contained panic ([`SuiteArtifact::Failed`]) stays
+    /// in the base class and `failed` counts it beside.
+    fn classify(art: &SuiteArtifact) -> Served {
         match art.compile() {
-            Some(r) => {
-                !r.report.deadline_expired
-                    && r.report.degrade.is_none()
-                    && r.report.panicked_loops() == 0
-            }
-            None => false,
+            Some(r) if r.report.deadline_expired => Served::DeadlineExpired,
+            Some(r) if r.report.degrade.is_some() => Served::Degraded,
+            _ => Served::Cold,
         }
     }
 
-    /// How an artifact classifies when it is *not* a plain
-    /// full-fidelity result (`None` → Cold / CacheHit / Deduped).
-    /// Precedence: refusals (Rejected / Quarantined artifacts) over
-    /// compile outcomes; within a compile, expiry over tier
-    /// degradation.
-    fn classify_artifact(art: &SuiteArtifact) -> Option<Served> {
-        match art {
-            // A contained panic stays in the base class; `failed`
-            // counts it separately.
-            SuiteArtifact::Failed(_) => None,
-            SuiteArtifact::Rejected { .. } => Some(Served::Rejected),
-            SuiteArtifact::Quarantined { .. } => Some(Served::Quarantined),
-            SuiteArtifact::Compiled(_) | SuiteArtifact::Emitted(_) => {
-                let r = art.compile().expect("compiled artifact");
-                if r.report.deadline_expired {
-                    Some(Served::DeadlineExpired)
-                } else if r.report.degrade.is_some() {
-                    Some(Served::Degraded)
-                } else {
-                    None
-                }
-            }
+    /// How the first request with `key` is answered without a compile:
+    /// refused from the strike ledger, or a result-cache hit. `None`
+    /// means it needs a job.
+    fn plan_owner(&self, key: u64) -> Option<Plan> {
+        if let Some(strikes) = self.strikes.check(key) {
+            return Some(Plan::Quarantined(Arc::new(SuiteArtifact::Quarantined { strikes })));
         }
+        let tl = Instant::now();
+        let hit = self.results.lock().get(key).map(|e| Arc::clone(&e.artifact))?;
+        Some(Plan::Hit(hit, tl.elapsed().as_secs_f64()))
     }
 
-    /// Compile a batch: refuse quarantined suites from the ledger,
-    /// dedupe identical suites, answer repeats from the result cache,
-    /// shed what the bounded pending queue cannot admit, fan the rest
-    /// out across the worker pool (at the degradation tier the queue
-    /// depth demands, under each request's deadline), and return one
-    /// outcome per request in request order plus the batch-scoped
-    /// stats.
+    /// Claims up to `want` pending slots in one atomic step and returns
+    /// `(claimed, depth before)`. Check-then-add would let two callers
+    /// sharing the service both see the same free capacity and
+    /// together overshoot `max_pending`.
+    fn admit(&self, want: usize) -> (usize, usize) {
+        let claim = |depth: usize| want.min(self.config.max_pending.saturating_sub(depth));
+        let before = self
+            .pending
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| Some(d + claim(d)))
+            .expect("the update closure always returns Some");
+        let claimed = claim(before);
+        self.peak_pending.fetch_max(before + claimed, Ordering::SeqCst);
+        (claimed, before)
+    }
+
+    /// Compile a batch: plan every request (refuse quarantined suites
+    /// from the ledger, dedupe identical suites, answer repeats from
+    /// the result cache, shed what the bounded pending queue cannot
+    /// admit), fan the remaining jobs out across the worker pool (at
+    /// the degradation tier the queue depth demands, under each
+    /// request's deadline), and return one outcome per request in
+    /// request order plus the batch-scoped stats.
     pub fn compile_many(&self, batch: &[SuiteRequest]) -> Batch {
         let t0 = Instant::now();
         let loops_before = self.loops.stats();
         let store_before = self.store_stats();
-
         let keys: Vec<u64> = batch.iter().map(|r| self.suite_key(&r.source)).collect();
 
-        // Quarantine gate first: a suite under active quarantine is
-        // answered from the strike ledger without planning any compile.
-        let mut quarantined_art: HashMap<u64, Arc<SuiteArtifact>> = HashMap::new();
-        {
-            let mut seen: HashSet<u64> = HashSet::new();
-            for &k in &keys {
-                if seen.insert(k) {
-                    if let Some(strikes) = self.strikes.check(k) {
-                        quarantined_art.insert(k, Arc::new(SuiteArtifact::Quarantined { strikes }));
-                    }
-                }
-            }
-        }
-
-        // Plan: the first admissible request with a given key owns the
-        // compile (or the cache lookup); later identical requests are
-        // deduped onto the owner.
+        // Plan. The first request with a given key owns its fate —
+        // quarantine refusal, cache hit, or a compile job — and later
+        // identical requests ride along as duplicates of that owner.
         let mut owner_of: HashMap<u64, usize> = HashMap::new();
-        // Per request: Some(owner index) when deduped, None when owner
-        // (or quarantined — resolved by key during assembly).
-        let dup_of: Vec<Option<usize>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                if quarantined_art.contains_key(k) {
-                    return None;
-                }
-                match owner_of.get(k) {
-                    Some(&o) => Some(o),
-                    None => {
-                        owner_of.insert(*k, i);
-                        None
-                    }
-                }
-            })
-            .collect();
-
-        // Owners: try the result cache under one lock, else queue a job.
-        let mut cached: HashMap<usize, (Arc<SuiteArtifact>, f64)> = HashMap::new();
         let mut jobs: Vec<usize> = Vec::new();
-        {
-            let mut cache = self.results.lock();
-            for (i, dup) in dup_of.iter().enumerate() {
-                if dup.is_some() || quarantined_art.contains_key(&keys[i]) {
-                    continue;
-                }
-                let tl = Instant::now();
-                match cache.get(keys[i]) {
-                    Some(hit) => {
-                        cached.insert(i, (Arc::clone(hit), tl.elapsed().as_secs_f64()));
-                    }
-                    None => jobs.push(i),
-                }
-            }
-        }
-
-        // Admission control: the pending queue is bounded. A batch that
-        // would overflow it sheds compiles down to fit, per the
-        // configured policy — an explicit structured rejection instead
-        // of unbounded queueing.
-        let mut shed: HashMap<usize, Arc<SuiteArtifact>> = HashMap::new();
-        let depth_before = self.pending.load(Ordering::SeqCst);
-        let avail = self.config.max_pending.saturating_sub(depth_before);
-        if jobs.len() > avail {
-            let excess = jobs.len() - avail;
-            let victims: Vec<usize> = match self.config.shed {
-                ShedPolicy::OldestFirst => jobs[..excess].to_vec(),
-                ShedPolicy::LargestFirst => {
-                    let mut by_size = jobs.clone();
-                    by_size.sort_by(|&a, &b| {
-                        batch[b]
-                            .source
-                            .len()
-                            .cmp(&batch[a].source.len())
-                            .then(a.cmp(&b))
-                    });
-                    by_size[..excess].to_vec()
+        let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
+        for (i, &key) in keys.iter().enumerate() {
+            let plan = match owner_of.entry(key) {
+                Entry::Occupied(owner) => Plan::Dup(*owner.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    self.plan_owner(key).unwrap_or_else(|| {
+                        jobs.push(i);
+                        Plan::Job(jobs.len() - 1)
+                    })
                 }
             };
-            let reason = format!(
-                "overload: {} pending, capacity {}",
-                depth_before, self.config.max_pending
-            );
-            for i in victims {
-                shed.insert(
-                    i,
-                    Arc::new(SuiteArtifact::Rejected {
-                        reason: reason.clone(),
-                    }),
-                );
-            }
-            jobs.retain(|i| !shed.contains_key(i));
+            plans.push(plan);
         }
 
-        // Admit the survivors; the resulting depth picks the
-        // degradation tier for this wave (full → facts-only →
-        // parse-only) — shed load gets less pipeline, not more queue.
-        let depth = self.pending.fetch_add(jobs.len(), Ordering::SeqCst) + jobs.len();
-        self.peak_pending.fetch_max(depth, Ordering::SeqCst);
-        let tier = if depth > self.config.high_watermark {
+        // Admission control: the pending queue is bounded. Jobs that
+        // would overflow it are shed, oldest first — an explicit
+        // structured rejection instead of unbounded queueing.
+        let (admitted, depth_before) = self.admit(jobs.len());
+        let shed = jobs.len() - admitted;
+        if shed > 0 {
+            let rejected = Arc::new(SuiteArtifact::Rejected {
+                reason: format!(
+                    "overload: {} pending, capacity {}",
+                    depth_before, self.config.max_pending
+                ),
+            });
+            for &i in &jobs[..shed] {
+                plans[i] = Plan::Shed(Arc::clone(&rejected));
+            }
+            jobs.drain(..shed);
+            for (j, &i) in jobs.iter().enumerate() {
+                plans[i] = Plan::Job(j);
+            }
+        }
+
+        // The admitted depth picks this wave's tier: past the high
+        // watermark, load gets less pipeline, not more queue.
+        let tier = if depth_before + admitted > self.config.high_watermark {
             DegradeTier::ParseOnly
-        } else if depth > self.config.low_watermark {
-            DegradeTier::FactsOnly
         } else {
             DegradeTier::Full
         };
-
         // Deadlines are armed at admission, not at job start: time
         // spent waiting for a worker burns the request's budget, as it
         // would in a real service.
@@ -943,203 +815,117 @@ impl CompileService {
             .iter()
             .map(|&i| batch[i].deadline.map(CancelToken::deadline_in))
             .collect();
-
-        // Fan the jobs out across the bounded pool. Slots are indexed
-        // by job position, so assembly below is deterministic in
-        // request order regardless of completion order. Each finished
-        // job releases its pending slot immediately.
-        let slots: Vec<OnceLock<(Arc<SuiteArtifact>, f64)>> =
-            jobs.iter().map(|_| OnceLock::new()).collect();
-        let width = self.config.workers.max(1).min(jobs.len().max(1));
-        if width <= 1 {
-            for (j, &i) in jobs.iter().enumerate() {
-                let _ = slots[j].set(self.run_job(&batch[i], tokens[j].clone(), tier));
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..width {
-                    s.spawn(|| loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs.len() {
-                            break;
-                        }
-                        let _ =
-                            slots[j].set(self.run_job(&batch[jobs[j]], tokens[j].clone(), tier));
-                        self.pending.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        }
+        // Each finished job releases its pending slot immediately.
+        let ran: Vec<(Arc<SuiteArtifact>, f64)> = fan_out(jobs.len(), self.config.workers, |j| {
+            let done = self.run_job(&batch[jobs[j]], tokens[j].clone(), tier);
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+            done
+        });
 
         // Retain only full-fidelity results — a partial or poisoned
         // entry would replay its degradation forever — and keep the
         // quarantine ledger current: contained panics strike the suite,
         // clean compiles expunge it.
-        let mut fresh: HashMap<usize, (Arc<SuiteArtifact>, f64)> = HashMap::new();
-        {
-            let mut cache = self.results.lock();
-            for (j, &i) in jobs.iter().enumerate() {
-                let (art, wall) = slots[j].get().expect("job completed").clone();
-                if Self::cacheable(&art) {
-                    cache.insert(keys[i], Arc::clone(&art));
-                }
-                fresh.insert(i, (art, wall));
-            }
-        }
-        for &i in &jobs {
-            let (art, _) = &fresh[&i];
-            let panicked = match art.compile() {
-                None => true, // Failed: the whole compile panicked
-                Some(r) => r.report.panicked_loops() > 0,
-            };
-            if panicked {
-                self.strikes.strike(keys[i]);
-            } else if Self::cacheable(art) {
+        for (&i, (art, _)) in jobs.iter().zip(&ran) {
+            let req = &batch[i];
+            if Self::cacheable(art) {
+                let entry = CachedResult {
+                    artifact: Arc::clone(art),
+                    origin: self
+                        .store
+                        .is_some()
+                        .then(|| Arc::new((req.name.clone(), req.source.clone()))),
+                };
+                self.results.lock().insert(keys[i], entry);
                 self.strikes.clear(keys[i]);
+            } else if art.compile().is_none_or(|r| r.report.panicked_loops() > 0) {
+                self.strikes.strike(keys[i]);
             }
         }
 
-        // Assemble outcomes in request order.
+        // Assemble outcomes in request order, one match over the plan;
+        // a duplicate reads its owner's plan (owners are never `Dup`).
+        let mut tally = Tally::default();
         let mut outcomes: Vec<SuiteOutcome> = Vec::with_capacity(batch.len());
-        let mut stats_cold = 0usize;
-        let mut stats_hits = 0usize;
-        let mut stats_dedup = 0usize;
-        let mut stats_failed = 0usize;
-        let mut stats_rejected = 0usize;
-        let mut stats_expired = 0usize;
-        let mut stats_quarantined = 0usize;
-        let mut stats_degraded = 0usize;
-        for (i, req) in batch.iter().enumerate() {
-            let (served, artifact, wall_s) = if let Some(art) = quarantined_art.get(&keys[i]) {
-                (Served::Quarantined, Arc::clone(art), 0.0)
-            } else if let Some(art) = shed.get(&i) {
-                (Served::Rejected, Arc::clone(art), 0.0)
-            } else {
-                match dup_of[i] {
-                    Some(owner) => {
-                        if let Some(art) = shed.get(&owner) {
-                            // The owner was shed, so nothing was
-                            // compiled for this key: the duplicate is
-                            // rejected too.
-                            (Served::Rejected, Arc::clone(art), 0.0)
-                        } else {
-                            let art = cached
-                                .get(&owner)
-                                .or_else(|| fresh.get(&owner))
-                                .map(|(a, _)| Arc::clone(a))
-                                .expect("owner resolved");
-                            let served =
-                                Self::classify_artifact(&art).unwrap_or(Served::Deduped);
-                            (served, art, 0.0)
-                        }
-                    }
-                    None => match cached.get(&i) {
-                        // Only full-fidelity artifacts enter the cache,
-                        // so a hit is always a plain CacheHit.
-                        Some((art, wall)) => (Served::CacheHit, Arc::clone(art), *wall),
-                        None => {
-                            let (art, wall) = fresh.get(&i).expect("fresh result").clone();
-                            let served = Self::classify_artifact(&art).unwrap_or(Served::Cold);
-                            (served, art, wall)
-                        }
-                    },
-                }
+        for (req, plan) in batch.iter().zip(&plans) {
+            let (plan, dup) = match plan {
+                Plan::Dup(owner) => (&plans[*owner], true),
+                own => (own, false),
             };
-            match served {
-                Served::Cold => stats_cold += 1,
-                Served::CacheHit => stats_hits += 1,
-                Served::Deduped => stats_dedup += 1,
-                Served::Rejected => stats_rejected += 1,
-                Served::DeadlineExpired => stats_expired += 1,
-                Served::Quarantined => stats_quarantined += 1,
-                Served::Degraded => stats_degraded += 1,
-            }
-            if matches!(*artifact, SuiteArtifact::Failed(_)) {
-                stats_failed += 1;
-            }
+            let (served, artifact, wall_s) = match plan {
+                Plan::Quarantined(art) => (Served::Quarantined, art, 0.0),
+                Plan::Shed(art) => (Served::Rejected, art, 0.0),
+                // Only full-fidelity artifacts enter the cache, so a
+                // hit is always a plain `CacheHit`.
+                Plan::Hit(art, wall) => (Served::CacheHit, art, *wall),
+                Plan::Job(j) => (Self::classify(&ran[*j].0), &ran[*j].0, ran[*j].1),
+                Plan::Dup(_) => unreachable!("a duplicate's owner is the first of its key"),
+            };
+            // A duplicate shares the owner's artifact at no cost of its
+            // own, and the owner's class unless that was a full answer.
+            let (served, wall_s) = match dup {
+                true if served.full_fidelity() => (Served::Deduped, 0.0),
+                true => (served, 0.0),
+                false => (served, wall_s),
+            };
+            tally.served[served as usize] += 1;
+            tally.failed += usize::from(matches!(**artifact, SuiteArtifact::Failed(_)));
             outcomes.push(SuiteOutcome {
                 name: req.name.clone(),
                 served,
                 wall_s,
-                artifact,
+                artifact: Arc::clone(artifact),
             });
         }
 
         // Checkpoint the new state before answering: a crash after this
         // point loses nothing the batch learned.
-        self.persist_after_batch(batch, &keys, &outcomes);
+        self.persist_after_batch();
 
-        let wall_s = t0.elapsed().as_secs_f64();
-        let result_evictions = self.results.lock().evictions();
-        let stats = ServiceStats {
-            suites: batch.len(),
-            cold: stats_cold,
-            result_hits: stats_hits,
-            deduped: stats_dedup,
-            failed: stats_failed,
-            rejected: stats_rejected,
-            deadline_expired: stats_expired,
-            quarantined: stats_quarantined,
-            degraded: stats_degraded,
-            pending_peak: self.peak_pending(),
-            quarantined_suites: self.quarantined_suites(),
-            result_evictions,
-            facts: self.loops.stats().since(&loops_before),
-            store: self.store_stats().since(&store_before),
-            wall_s,
-            suites_per_s: if wall_s > 0.0 {
-                batch.len() as f64 / wall_s
-            } else {
-                0.0
-            },
-            per_suite_wall_s: outcomes
-                .iter()
-                .map(|o| (o.name.clone(), o.wall_s))
-                .collect(),
-        };
-
-        // Fold into the lifetime counters.
-        self.suites.fetch_add(batch.len(), Ordering::Relaxed);
-        self.cold.fetch_add(stats_cold, Ordering::Relaxed);
-        self.hits.fetch_add(stats_hits, Ordering::Relaxed);
-        self.deduped.fetch_add(stats_dedup, Ordering::Relaxed);
-        self.failed.fetch_add(stats_failed, Ordering::Relaxed);
-        self.rejected.fetch_add(stats_rejected, Ordering::Relaxed);
-        self.expired.fetch_add(stats_expired, Ordering::Relaxed);
-        self.quarantined
-            .fetch_add(stats_quarantined, Ordering::Relaxed);
-        self.degraded.fetch_add(stats_degraded, Ordering::Relaxed);
-        self.busy_us
-            .fetch_add((wall_s * 1e6) as u64, Ordering::Relaxed);
-
+        tally.wall_s = t0.elapsed().as_secs_f64();
+        self.lifetime
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .fold(&tally);
+        let mut stats = self.stats_from(
+            &tally,
+            self.loops.stats().since(&loops_before),
+            self.store_stats().since(&store_before),
+        );
+        stats.per_suite_wall_s = outcomes.iter().map(|o| (o.name.clone(), o.wall_s)).collect();
         Batch { outcomes, stats }
     }
 
     /// Lifetime counters since the service was created (the daemon's
     /// `STATS` answer). Gauges and loop-store counters are absolute.
     pub fn cumulative_stats(&self) -> ServiceStats {
-        let wall_s = self.busy_us.load(Ordering::Relaxed) as f64 / 1e6;
-        let suites = self.suites.load(Ordering::Relaxed);
+        let lifetime = *self.lifetime.lock().unwrap_or_else(|p| p.into_inner());
+        self.stats_from(&lifetime, self.loops.stats(), self.store_stats())
+    }
+
+    /// The one place a [`ServiceStats`] is built: a tally's counts plus
+    /// the service's current gauges.
+    fn stats_from(&self, tally: &Tally, loops: LoopStoreStats, store: StoreStats) -> ServiceStats {
+        let suites = tally.served.iter().sum();
+        let of = |class: Served| tally.served[class as usize];
         ServiceStats {
             suites,
-            cold: self.cold.load(Ordering::Relaxed),
-            result_hits: self.hits.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            deadline_expired: self.expired.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            cold: of(Served::Cold),
+            result_hits: of(Served::CacheHit),
+            deduped: of(Served::Deduped),
+            failed: tally.failed,
+            rejected: of(Served::Rejected),
+            deadline_expired: of(Served::DeadlineExpired),
+            quarantined: of(Served::Quarantined),
+            degraded: of(Served::Degraded),
             pending_peak: self.peak_pending(),
             quarantined_suites: self.quarantined_suites(),
             result_evictions: self.results.lock().evictions(),
-            facts: self.loops.stats(),
-            store: self.store_stats(),
-            wall_s,
-            suites_per_s: if wall_s > 0.0 {
-                suites as f64 / wall_s
+            facts: loops,
+            store,
+            wall_s: tally.wall_s,
+            suites_per_s: if tally.wall_s > 0.0 {
+                suites as f64 / tally.wall_s
             } else {
                 0.0
             },
@@ -1165,6 +951,8 @@ impl CompileService {
         }
         let emit = self.config.emit;
         let art = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            assert!(!req.name.starts_with("!panic"), "injected whole-compile panic");
             let r = compiler.compile_source_recovering(&req.name, &req.source);
             if emit {
                 SuiteArtifact::Emitted(Box::new(compiler.emit(r)))
@@ -1211,6 +999,7 @@ fn result_payload(key: u64, profile_id: u64, name: &str, source: &str, sig: &str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apar_core::jsonio::ToJson;
 
     const SRC: &str = "\
 PROGRAM MAIN
@@ -1421,25 +1210,6 @@ END
     }
 
     #[test]
-    fn largest_first_sheds_the_biggest_sources() {
-        let s = CompileService::new(ServiceConfig {
-            workers: 1,
-            max_pending: 1,
-            high_watermark: 1,
-            low_watermark: 0,
-            shed: ShedPolicy::LargestFirst,
-            ..ServiceConfig::default()
-        });
-        let big = format!("{}{}", SRC, "C PADDING PADDING PADDING\n".repeat(20));
-        let out = s.compile_many(&[
-            SuiteRequest::new("big", big),
-            SuiteRequest::new("small", SRC2),
-        ]);
-        assert_eq!(out.outcomes[0].served, Served::Rejected, "big shed first");
-        assert!(out.outcomes[1].served != Served::Rejected);
-    }
-
-    #[test]
     fn held_capacity_degrades_tiers_by_depth() {
         let s = CompileService::new(ServiceConfig {
             workers: 1,
@@ -1458,19 +1228,19 @@ END
             assert_eq!(r.loops.len(), 0, "no analysis at parse-only");
             assert_eq!(r.report.skipped.len(), r.report.loops);
         }
-        // Depth 5 in (low, high]: facts-only.
+        // Depth 5 in (low, high]: still the full pipeline — the low
+        // watermark only releases the overload latch.
         {
             let _hold = s.hold_capacity(4);
             let out = s.compile_one(SuiteRequest::new("b", SRC2));
-            assert_eq!(out.served, Served::Degraded);
-            let r = out.artifact.compile().expect("degraded report");
-            assert_eq!(r.report.degrade, Some(apar_core::DegradeTier::FactsOnly));
+            assert_eq!(out.served, Served::Cold);
+            assert_eq!(out.artifact.compile().expect("report").report.degrade, None);
         }
-        // Degraded answers were not cached: both recompile cold at
-        // full fidelity once the pressure is gone.
+        // The degraded answer was not cached and recompiles cold at
+        // full fidelity once the pressure is gone; the full one hits.
         let out = s.compile_many(&[SuiteRequest::new("a", SRC), SuiteRequest::new("b", SRC2)]);
-        assert_eq!(out.stats.cold, 2);
-        assert_eq!(out.stats.result_hits, 0);
+        assert_eq!(out.outcomes[0].served, Served::Cold);
+        assert_eq!(out.outcomes[1].served, Served::CacheHit);
     }
 
     #[test]
@@ -1612,5 +1382,171 @@ END
         ] {
             assert!(json.contains(field), "{field} missing from {json}");
         }
+    }
+
+    /// A distinct healthy one-loop program per tag.
+    fn src_for(tag: &str) -> String {
+        SRC.replace("MAIN", tag)
+    }
+
+    /// A service where unit `MAIN` crash-loops into quarantine after
+    /// one strike, with room for `max_pending` compiles at a time.
+    fn plan_service(max_pending: usize) -> CompileService {
+        use apar_core::PassId;
+        CompileService::new(ServiceConfig {
+            workers: 2,
+            profile: CompilerProfile::polaris2008().with_fault(
+                PassId::DataDependence,
+                "MAIN",
+                None,
+            ),
+            max_pending,
+            high_watermark: 8,
+            low_watermark: 4,
+            quarantine_strikes: 1,
+            quarantine_backoff_ms: 60_000,
+            ..ServiceConfig::default()
+        })
+    }
+
+    #[test]
+    fn one_batch_exercises_every_plan_arm() {
+        let s = plan_service(2);
+        // Warm-up: strike MAIN out, and put WARM in the result cache.
+        s.compile_many(&[
+            SuiteRequest::new("bad", SRC),
+            SuiteRequest::new("warm", src_for("WARM")),
+        ]);
+        assert_eq!(s.quarantined_suites(), 1);
+
+        // Three jobs against two slots: the oldest job is shed.
+        let batch = [
+            ("q", SRC.to_string(), Served::Quarantined),
+            ("shed", src_for("SHED"), Served::Rejected),
+            ("hit", src_for("WARM"), Served::CacheHit),
+            ("q-dup", SRC.to_string(), Served::Quarantined),
+            ("cold", src_for("COLD"), Served::Cold),
+            ("!panic", src_for("BOOM"), Served::Cold),
+            ("shed-dup", src_for("SHED"), Served::Rejected),
+            ("hit-dup", src_for("WARM"), Served::Deduped),
+            ("boom-dup", src_for("BOOM"), Served::Deduped),
+            ("cold-dup", src_for("COLD"), Served::Deduped),
+        ];
+        let reqs: Vec<SuiteRequest> = batch
+            .iter()
+            .map(|(name, src, _)| SuiteRequest::new(*name, src.clone()))
+            .collect();
+        let out = s.compile_many(&reqs);
+        for ((name, _, want), got) in batch.iter().zip(&out.outcomes) {
+            assert_eq!(got.served, *want, "{name}");
+            assert_eq!(got.name, *name);
+        }
+        // Duplicates share the owner's artifact, whatever it was.
+        for (owner, dup) in [(0, 3), (1, 6), (2, 7), (5, 8), (4, 9)] {
+            assert!(
+                Arc::ptr_eq(&out.outcomes[owner].artifact, &out.outcomes[dup].artifact),
+                "{} shares {}",
+                batch[dup].0,
+                batch[owner].0
+            );
+        }
+        assert!(matches!(
+            &*out.outcomes[5].artifact,
+            SuiteArtifact::Failed(m) if m.contains("injected")
+        ));
+        let st = &out.stats;
+        assert_eq!(
+            (st.suites, st.cold, st.result_hits, st.deduped),
+            (10, 2, 1, 3),
+            "{st:?}"
+        );
+        assert_eq!(
+            (st.rejected, st.quarantined, st.failed),
+            (2, 2, 2),
+            "{st:?}"
+        );
+        assert_eq!((st.deadline_expired, st.degraded), (0, 0));
+        assert!(st.pending_peak <= 2);
+        assert_eq!(s.pending(), 0, "every admitted slot was released");
+    }
+
+    #[test]
+    fn batch_tallies_sum_to_the_lifetime_tally() {
+        let s = plan_service(16);
+        let classes = |st: &ServiceStats| {
+            [
+                st.suites,
+                st.cold,
+                st.result_hits,
+                st.deduped,
+                st.failed,
+                st.rejected,
+                st.deadline_expired,
+                st.quarantined,
+                st.degraded,
+            ]
+        };
+        let batches = [
+            vec![
+                SuiteRequest::new("bad", SRC),
+                SuiteRequest::new("a", src_for("A")),
+                SuiteRequest::new("a-dup", src_for("A")),
+            ],
+            vec![
+                SuiteRequest::new("bad", SRC),
+                SuiteRequest::new("a", src_for("A")),
+                SuiteRequest::new("late", src_for("B")).with_deadline(Duration::ZERO),
+                SuiteRequest::new("!panic", src_for("C")),
+            ],
+            vec![
+                SuiteRequest::new("d", src_for("D")),
+                SuiteRequest::new("e", src_for("E")),
+                SuiteRequest::new("f", src_for("F")),
+            ],
+        ];
+        let mut sum = [0usize; 9];
+        for (n, batch) in batches.iter().enumerate() {
+            // The last batch runs under held capacity: one job shed,
+            // two admitted past the high watermark.
+            let _hold = (n == 2).then(|| s.hold_capacity(14));
+            let st = s.compile_many(batch).stats;
+            assert_eq!(st.suites, batch.len());
+            for (total, class) in sum.iter_mut().zip(classes(&st)) {
+                *total += class;
+            }
+        }
+        assert_eq!(sum, classes(&s.cumulative_stats()));
+        // No class is vacuous: each showed up at least once.
+        assert!(sum.iter().all(|&n| n > 0), "{sum:?}");
+    }
+
+    #[test]
+    fn concurrent_batches_never_overshoot_max_pending() {
+        let s = CompileService::new(ServiceConfig {
+            workers: 2,
+            max_pending: 4,
+            high_watermark: 8,
+            low_watermark: 4,
+            ..ServiceConfig::default()
+        });
+        // No start barrier: at the parent commit the natural spawn
+        // stagger overshot in 21 of 200 runs, a barrier in only 3.
+        let answered: usize = fan_out(8, 8, |t| {
+            let batch: Vec<SuiteRequest> = (0..3)
+                .map(|i| SuiteRequest::new("x", src_for(&format!("T{t}N{i}"))))
+                .collect();
+            let out = s.compile_many(&batch);
+            for o in &out.outcomes {
+                assert!(matches!(o.served, Served::Cold | Served::Rejected), "{:?}", o.served);
+            }
+            out.outcomes.len()
+        })
+        .into_iter()
+        .sum();
+        assert_eq!(answered, 24, "every request got exactly one outcome");
+        assert!(s.peak_pending() <= 4, "peak {} overshot the bound", s.peak_pending());
+        assert_eq!(s.pending(), 0);
+        let c = s.cumulative_stats();
+        assert_eq!(c.cold + c.rejected, 24);
     }
 }

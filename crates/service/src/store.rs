@@ -146,9 +146,6 @@ impl StoreStats {
     /// Counter deltas since `earlier`; gauges stay absolute.
     pub fn since(&self, earlier: &StoreStats) -> StoreStats {
         StoreStats {
-            enabled: self.enabled,
-            read_only: self.read_only,
-            recovered_facts: 0,
             recovered_loops: self.recovered_loops - earlier.recovered_loops,
             recovered_results: self.recovered_results - earlier.recovered_results,
             recovery_refusals: self.recovery_refusals - earlier.recovery_refusals,
@@ -161,7 +158,8 @@ impl StoreStats {
             appended_records: self.appended_records - earlier.appended_records,
             append_errors: self.append_errors - earlier.append_errors,
             compactions: self.compactions - earlier.compactions,
-            store_bytes: self.store_bytes,
+            // The gauges: `enabled`, `read_only`, `store_bytes`.
+            ..*self
         }
     }
 
@@ -191,7 +189,7 @@ impl StoreStats {
 /// Everything the loader salvaged from the tier logs: parsed payloads
 /// in log order. Framing/CRC/parse refusals were already counted by
 /// the store; semantic validation (identity, re-verification) is the
-/// caller's job, reported back via `note_*`.
+/// caller's job, reported back via `PersistentStore::count`.
 #[derive(Debug, Default)]
 pub struct LoadedTiers {
     pub loops: Vec<JVal>,
@@ -215,16 +213,9 @@ pub struct PersistentStore {
     /// only writes news. Advisory (duplicates on disk are deduped by
     /// recovery anyway); reset by compaction to the snapshot's keys.
     seen: Mutex<[HashSet<u64>; 2]>,
-    recovered: [AtomicU64; 2],
-    refused_framing: AtomicU64,
-    refused_crc: AtomicU64,
-    refused_parse: AtomicU64,
-    refused_version: AtomicU64,
-    refused_identity: AtomicU64,
-    refused_verify: AtomicU64,
-    appended: AtomicU64,
-    append_errors: AtomicU64,
-    compactions: AtomicU64,
+    /// The counter fields of [`StoreStats`]; gauges and the refusal
+    /// total are filled in by [`PersistentStore::stats`].
+    counters: Mutex<StoreStats>,
 }
 
 impl PersistentStore {
@@ -261,16 +252,7 @@ impl PersistentStore {
             fault_ctr: AtomicU64::new(0),
             compact_bytes: 1 << 20,
             seen: Mutex::new([HashSet::new(), HashSet::new()]),
-            recovered: [AtomicU64::new(0), AtomicU64::new(0)],
-            refused_framing: AtomicU64::new(0),
-            refused_crc: AtomicU64::new(0),
-            refused_parse: AtomicU64::new(0),
-            refused_version: AtomicU64::new(0),
-            refused_identity: AtomicU64::new(0),
-            refused_verify: AtomicU64::new(0),
-            appended: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
+            counters: Mutex::new(StoreStats::default()),
         }
     }
 
@@ -307,14 +289,14 @@ impl PersistentStore {
     /// Marks `key` persisted for `tier`; returns true when it was new
     /// (i.e. the caller should append its record).
     pub fn mark_seen(&self, tier: Tier, key: u64) -> bool {
-        self.seen.lock().unwrap_or_else(|p| p.into_inner())[tier_ix(tier)].insert(key)
+        self.seen.lock().unwrap_or_else(|p| p.into_inner())[tier as usize].insert(key)
     }
 
     /// Replaces `tier`'s persisted-key set (after a compaction rewrote
     /// the log from a snapshot).
     fn reset_seen(&self, tier: Tier, keys: impl IntoIterator<Item = u64>) {
         let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
-        seen[tier_ix(tier)] = keys.into_iter().collect();
+        seen[tier as usize] = keys.into_iter().collect();
     }
 
     /// Reads and frames-decodes every tier log. Total: any damage is
@@ -324,14 +306,14 @@ impl PersistentStore {
         for tier in Tier::ALL {
             let path = self.tier_path(tier);
             let bytes = if self.fault(|f| f.read_fail_1_in) {
-                self.refused_framing.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.refused_framing += 1);
                 continue; // injected read error: tier loads as empty
             } else {
                 match fs::read(&path) {
                     Ok(b) => b,
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                     Err(_) => {
-                        self.refused_framing.fetch_add(1, Ordering::Relaxed);
+                        self.count(|c| c.refused_framing += 1);
                         continue;
                     }
                 }
@@ -350,7 +332,7 @@ impl PersistentStore {
         if bytes.len() < FILE_MAGIC.len() || &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
             // Wrong or truncated header: the whole file is refused as
             // one structured event (stale version / foreign file).
-            self.refused_version.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.refused_version += 1);
             return;
         }
         let mut pos = FILE_MAGIC.len();
@@ -368,7 +350,7 @@ impl PersistentStore {
             {
                 // Garbage where a record should start (torn compaction,
                 // flipped magic, trailing junk).
-                self.refused_framing.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.refused_framing += 1);
                 match resync(pos + 1) {
                     Some(next) => {
                         pos = next;
@@ -379,7 +361,7 @@ impl PersistentStore {
             }
             let header_end = pos + REC_MAGIC.len() + 8;
             if bytes.len() < header_end {
-                self.refused_framing.fetch_add(1, Ordering::Relaxed); // torn tail
+                self.count(|c| c.refused_framing += 1); // torn tail
                 return;
             }
             let len = u32::from_le_bytes(
@@ -396,7 +378,7 @@ impl PersistentStore {
             if len > MAX_RECORD || end > bytes.len() as u64 {
                 // Implausible or past-EOF length: either a corrupt
                 // length field or a torn final record.
-                self.refused_framing.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.refused_framing += 1);
                 match resync(pos + REC_MAGIC.len()) {
                     Some(next) => {
                         pos = next;
@@ -408,13 +390,13 @@ impl PersistentStore {
             let payload = &bytes[header_end..end as usize];
             pos = end as usize;
             if crc32(payload) != crc {
-                self.refused_crc.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.refused_crc += 1);
                 continue;
             }
             match std::str::from_utf8(payload).ok().and_then(parse) {
                 Some(v) => dest.push(v),
                 None => {
-                    self.refused_parse.fetch_add(1, Ordering::Relaxed);
+                    self.count(|c| c.refused_parse += 1);
                 }
             }
         }
@@ -424,7 +406,7 @@ impl PersistentStore {
     /// header first when the log is new). No-op when read-only. I/O
     /// failures — injected or real — count `append_errors`; a short
     /// write may leave a torn record, which recovery tolerates.
-    pub fn append(&self, tier: Tier, payloads: &[Json]) {
+    fn append(&self, tier: Tier, payloads: &[Json]) {
         if payloads.is_empty() || self.read_only.is_some() {
             return;
         }
@@ -438,7 +420,7 @@ impl PersistentStore {
             frame_into(&mut buf, p);
         }
         if self.fault(|f| f.write_fail_1_in) {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.append_errors += 1);
             return;
         }
         if self.fault(|f| f.short_write_1_in) {
@@ -447,33 +429,32 @@ impl PersistentStore {
             let cut = (splitmix64(n ^ 0xDEAD_BEEF) % buf.len() as u64) as usize;
             buf.truncate(cut);
             let _ = append_bytes(&path, &buf);
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.append_errors += 1);
             return;
         }
         match append_bytes(&path, &buf) {
             Ok(mut f) => {
                 if self.fault(|f| f.flush_fail_1_in) || f.flush().is_err() {
-                    self.append_errors.fetch_add(1, Ordering::Relaxed);
+                    self.count(|c| c.append_errors += 1);
                 } else {
-                    self.appended
-                        .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+                    self.count(|c| c.appended_records += payloads.len() as u64);
                 }
             }
             Err(_) => {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.append_errors += 1);
             }
         }
     }
 
     /// True when `tier`'s log has outgrown the compaction threshold.
-    pub fn wants_compaction(&self, tier: Tier) -> bool {
+    fn wants_compaction(&self, tier: Tier) -> bool {
         self.read_only.is_none() && self.file_len(tier) > self.compact_bytes
     }
 
     /// Rewrites `tier`'s log as a fresh snapshot of `(key, payload)`
     /// records via write-temp + atomic rename. On any failure the
     /// original log is left untouched (and still loadable).
-    pub fn compact(&self, tier: Tier, records: &[(u64, Json)]) {
+    fn compact(&self, tier: Tier, records: &[(u64, Json)]) {
         if self.read_only.is_some() {
             return;
         }
@@ -482,7 +463,7 @@ impl PersistentStore {
             frame_into(&mut buf, p);
         }
         if self.fault(|f| f.write_fail_1_in) {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.append_errors += 1);
             return;
         }
         if self.fault(|f| f.short_write_1_in) {
@@ -493,18 +474,45 @@ impl PersistentStore {
         let tmp = self.dir.join(format!("{}.tmp", tier.file_name()));
         if fs::write(&tmp, &buf).is_err() || self.fault(|f| f.rename_fail_1_in) {
             let _ = fs::remove_file(&tmp);
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.count(|c| c.append_errors += 1);
             return;
         }
         match fs::rename(&tmp, &path) {
             Ok(()) => {
-                self.compactions.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.compactions += 1);
                 self.reset_seen(tier, records.iter().map(|&(k, _)| k));
             }
             Err(_) => {
                 let _ = fs::remove_file(&tmp);
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
+                self.count(|c| c.append_errors += 1);
             }
+        }
+    }
+
+    /// One tier's post-batch checkpoint, from the cache's live state:
+    /// appends the resident records this log has not seen — only those
+    /// are encoded, so the write follows what the batch learned, not
+    /// what is resident — and, once the log outgrows its bound,
+    /// rewrites it from all of them. `encode` returning `None` skips
+    /// a record.
+    pub(crate) fn sync<R>(
+        &self,
+        tier: Tier,
+        live: &[(u64, R)],
+        encode: impl Fn(u64, &R) -> Option<Json>,
+    ) {
+        let fresh: Vec<Json> = live
+            .iter()
+            .filter(|(k, _)| self.mark_seen(tier, *k))
+            .filter_map(|(k, r)| encode(*k, r))
+            .collect();
+        self.append(tier, &fresh);
+        if self.wants_compaction(tier) {
+            let all: Vec<(u64, Json)> = live
+                .iter()
+                .filter_map(|(k, r)| Some((*k, encode(*k, r)?)))
+                .collect();
+            self.compact(tier, &all);
         }
     }
 
@@ -512,50 +520,26 @@ impl PersistentStore {
         fs::metadata(self.tier_path(tier)).map(|m| m.len()).unwrap_or(0)
     }
 
-    /// Records one adopted entry during recovery.
-    pub fn note_recovered(&self, tier: Tier) {
-        self.recovered[tier_ix(tier)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a recovery record refused for build-identity mismatch.
-    pub fn note_identity_refusal(&self) {
-        self.refused_identity.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a recovery record refused by semantic re-verification.
-    pub fn note_verify_refusal(&self) {
-        self.refused_verify.fetch_add(1, Ordering::Relaxed);
+    /// Bumps a counter. Recovery's semantic verdicts — adopted, refused
+    /// for identity, refused by re-verification — are the service's to
+    /// report; framing, CRC and parse refusals are counted in here.
+    pub(crate) fn count(&self, bump: impl FnOnce(&mut StoreStats)) {
+        bump(&mut self.counters.lock().unwrap_or_else(|p| p.into_inner()));
     }
 
     pub fn stats(&self) -> StoreStats {
-        let refused_framing = self.refused_framing.load(Ordering::Relaxed);
-        let refused_crc = self.refused_crc.load(Ordering::Relaxed);
-        let refused_parse = self.refused_parse.load(Ordering::Relaxed);
-        let refused_version = self.refused_version.load(Ordering::Relaxed);
-        let refused_identity = self.refused_identity.load(Ordering::Relaxed);
-        let refused_verify = self.refused_verify.load(Ordering::Relaxed);
+        let c = *self.counters.lock().unwrap_or_else(|p| p.into_inner());
         StoreStats {
             enabled: true,
             read_only: self.read_only.is_some(),
-            recovered_facts: 0,
-            recovered_loops: self.recovered[tier_ix(Tier::Loops)].load(Ordering::Relaxed),
-            recovered_results: self.recovered[tier_ix(Tier::Results)].load(Ordering::Relaxed),
-            recovery_refusals: refused_framing
-                + refused_crc
-                + refused_parse
-                + refused_version
-                + refused_identity
-                + refused_verify,
-            refused_framing,
-            refused_crc,
-            refused_parse,
-            refused_version,
-            refused_identity,
-            refused_verify,
-            appended_records: self.appended.load(Ordering::Relaxed),
-            append_errors: self.append_errors.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
+            recovery_refusals: c.refused_framing
+                + c.refused_crc
+                + c.refused_parse
+                + c.refused_version
+                + c.refused_identity
+                + c.refused_verify,
             store_bytes: Tier::ALL.iter().map(|&t| self.file_len(t)).sum(),
+            ..c
         }
     }
 }
@@ -582,13 +566,6 @@ impl std::fmt::Debug for PersistentStore {
             .field("dir", &self.dir)
             .field("read_only", &self.read_only)
             .finish_non_exhaustive()
-    }
-}
-
-fn tier_ix(tier: Tier) -> usize {
-    match tier {
-        Tier::Loops => 0,
-        Tier::Results => 1,
     }
 }
 

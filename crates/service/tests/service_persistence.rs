@@ -11,7 +11,7 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest};
+use apar_service::{CompileService, PersistentStore, Served, ServiceConfig, SuiteRequest};
 
 /// A fresh scratch directory per test (removed up front so a crashed
 /// prior run can't leak state in).
@@ -242,6 +242,49 @@ fn stale_version_header_refuses_that_file_only() {
     // The other tier is untouched and recovers in full.
     assert_eq!(s.recovered_results, 3, "{s:?}");
     drop(svc);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The results log compacts from the live result cache, exactly as the
+/// loop log does from the loop store: an entry the LRU bound evicted
+/// before the rewrite is gone from disk too, and a restart recovers
+/// precisely what was resident.
+#[test]
+fn results_log_compaction_keeps_exactly_the_resident_entries() {
+    let dir = scratch("compact_results");
+    let config = ServiceConfig {
+        workers: 1,
+        result_entries: 2,
+        ..ServiceConfig::default()
+    };
+    {
+        // A 64-byte bound makes every batch's checkpoint a rewrite.
+        let store = PersistentStore::open(&dir).with_compact_bytes(64);
+        let svc = CompileService::new(config.clone()).attach_store(store);
+        for req in suites() {
+            assert_eq!(svc.compile_one(req).served, Served::Cold);
+        }
+        // gamma's insert evicted alpha, the least recently used.
+        assert_eq!(svc.result_cache_len(), 2);
+        let st = svc.store_stats();
+        assert!(st.compactions >= 2, "{st:?}");
+        assert_eq!(st.append_errors, 0, "{st:?}");
+    }
+    let svc = CompileService::new(config).with_store(&dir);
+    let st = svc.store_stats();
+    assert_eq!(st.recovered_results, 2, "{st:?}");
+    assert_eq!(st.recovery_refusals, 0, "{st:?}");
+    let served: Vec<Served> = svc
+        .compile_many(&suites())
+        .outcomes
+        .iter()
+        .map(|o| o.served)
+        .collect();
+    assert_eq!(
+        served,
+        [Served::Cold, Served::CacheHit, Served::CacheHit],
+        "evicted alpha must not come back; beta and gamma must"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,14 +1,38 @@
 //! Content-keyed memoization of interprocedural analyses.
 //!
-//! The driver's per-loop analysis stage repeatedly rebuilds the same
-//! interprocedural facts: every loop that inlines calls re-resolves a
-//! private copy of the program and then needs a fresh [`CallGraph`],
-//! [`Summaries`] and [`AliasInfo`] for it — and loops that inline the
-//! *same* call sets produce byte-identical programs. An
-//! [`AnalysisCache`] keys those three structures by a fingerprint of
-//! the resolved program text, so N loops over identical inlined
-//! programs share one computation, and the three separate builds the
-//! sequential driver used to issue per loop collapse into one.
+//! Every loop that contains calls takes a detour: the driver clones the
+//! resolved program, inlines into that one loop, re-resolves, and then
+//! needs a [`CallGraph`], [`Summaries`] and [`AliasInfo`] for the
+//! result. Loops that inline the *same* call sets produce identical
+//! programs, and a loop whose calls all refuse to inline produces the
+//! base program again. An [`AnalysisCache`] keys those three
+//! structures by program content, so N loops over identical inlined
+//! programs share one build and an unchanged program lands on the
+//! facts the driver seeded.
+//!
+//! ## What the detour shares, and how a program is keyed
+//!
+//! A [`Program`] holds `Arc<Unit>`s. The clone the inliner works on
+//! shares every unit with the base program; inlining copies exactly
+//! one — the loop's own unit, through `Program::unit_mut` — and may
+//! remove callees it expanded away. A *changed unit* is therefore one
+//! that is no longer pointer-identical to a unit of the base program,
+//! and everything the detour does afterwards is per changed unit:
+//! `ResolvedProgram::reresolve` builds a table for it and hands back
+//! the base tables for the rest, and the cache key below prints it and
+//! reads the rest from a list made once.
+//!
+//! The key of a program is the hash of the sequence of its units'
+//! printed-text hashes. [`AnalysisCache::seed`] prints and hashes
+//! every base unit once and remembers each next to its `Arc`; a lookup
+//! finds a shared unit's hash by `Arc::ptr_eq` and prints only the
+//! changed ones. Two programs get one key exactly when their printed
+//! texts are equal — the printed program is the concatenation of its
+//! printed units, each closed by `END` and a blank line, so equal
+//! concatenations split into equal sequences — which is the
+//! equivalence the cache has always used: equal text analyzes equally.
+//! A detour that inlined nothing shares every unit, so it hashes
+//! nothing and its key is the seeded one.
 //!
 //! ## Symbolic-id discipline
 //!
@@ -26,7 +50,9 @@
 //! `&AnalysisCache`. Builds run outside the lock; when two workers race
 //! on the same miss, the first inserted entry wins and both observe it
 //! (the duplicate build is discarded — results are identical by
-//! construction, so either is safe to keep).
+//! construction, so either is safe to keep). The counters are defined
+//! so that such a race does not show: a lookup counts as a build only
+//! when its own build is the one used.
 //!
 //! ## Cross-compile reuse
 //!
@@ -39,14 +65,15 @@
 //! already a loop-key match.
 
 use std::any::Any;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use apar_minifort::pretty::print_program;
-use apar_minifort::ResolvedProgram;
+use apar_minifort::ast::Unit;
+use apar_minifort::pretty::print_unit;
+use apar_minifort::{Program, ResolvedProgram};
 
 use crate::alias::AliasInfo;
 use crate::callgraph::CallGraph;
@@ -205,16 +232,61 @@ impl LoopRecordStore {
     }
 }
 
+/// What one compile's per-call-loop detours (clone → inline →
+/// re-resolve → facts lookup) came to. Every field is a function of the
+/// loops analyzed, not of how workers interleaved; loops spliced from a
+/// [`LoopRecordStore`] take no detour, so the numbers do depend on
+/// cache state and stay out of report signatures.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DetourStats {
+    /// Detours that reached the facts lookup.
+    pub lookups: u64,
+    /// Lookups of the base program itself: nothing was inlined.
+    pub unchanged: u64,
+    /// Lookups answered by an earlier lookup's build.
+    pub memo_hits: u64,
+    /// Lookups answered by their own build: one per distinct program
+    /// retained, plus every rejected build. A build that loses an
+    /// insertion race to another worker is a memo hit, not a build.
+    pub builds: u64,
+    /// Units the looked-up programs did not share with the base
+    /// program: each was re-resolved, and printed for the key.
+    pub changed_units: u64,
+}
+
+impl DetourStats {
+    /// Adds another compile's counters to these.
+    pub fn add(&mut self, other: &DetourStats) {
+        self.lookups += other.lookups;
+        self.unchanged += other.unchanged;
+        self.memo_hits += other.memo_hits;
+        self.builds += other.builds;
+        self.changed_units += other.changed_units;
+    }
+}
+
 /// Memoizes `CallGraph::build` + `Summaries::build` + `AliasInfo::build`
-/// per resolved-program fingerprint. One cache serves one compilation
-/// (one capability set, one base interner).
+/// per program key. One cache serves one compilation (one capability
+/// set, one base interner, one seeded base program).
 #[derive(Debug)]
 pub struct AnalysisCache {
     caps: Capabilities,
     base_sym: SymMap,
+    /// The seeded program's units, each with the hash of its printed
+    /// text. Holding the `Arc`s is what makes the pointer test sound
+    /// (a live allocation is never reused), and it pins the units: drop
+    /// the cache before mutating the base program, or `unit_mut` copies.
+    base_units: Vec<(Arc<Unit>, u64)>,
+    /// Key of the seeded program.
+    base_key: Option<u64>,
     map: Mutex<HashMap<u64, Arc<ProgramFacts>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    lookups: AtomicU64,
+    /// Lookups whose key was the seeded program's.
+    unchanged: AtomicU64,
+    /// Lookups whose own build entered the map.
+    inserted: AtomicU64,
+    /// Units of looked-up programs not shared with the seeded one.
+    changed_units: AtomicU64,
     /// Op budget for one build (`u64::MAX` = unlimited). A build that
     /// trips it returns degraded facts which are NOT retained in the
     /// map — the poisoned-entry guard.
@@ -225,6 +297,15 @@ pub struct AnalysisCache {
     panic_on_build: std::sync::atomic::AtomicBool,
 }
 
+/// Hash of one unit's printed text; `text` is scratch space.
+fn unit_hash(u: &Unit, text: &mut String) -> u64 {
+    text.clear();
+    print_unit(u, text);
+    let mut h = DefaultHasher::new();
+    text.hash(&mut h);
+    h.finish()
+}
+
 impl AnalysisCache {
     /// Creates a cache for one compilation. `base_sym` is the interner
     /// state every build forks from; it must already contain every id
@@ -233,9 +314,13 @@ impl AnalysisCache {
         AnalysisCache {
             caps,
             base_sym,
+            base_units: Vec::new(),
+            base_key: None,
             map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            lookups: AtomicU64::new(0),
+            unchanged: AtomicU64::new(0),
+            inserted: AtomicU64::new(0),
+            changed_units: AtomicU64::new(0),
             build_budget: u64::MAX,
             rejected: AtomicU64::new(0),
             #[cfg(test)]
@@ -251,12 +336,31 @@ impl AnalysisCache {
         self
     }
 
-    /// Content fingerprint of a resolved program. Two programs with the
-    /// same printed form analyze identically, so they share facts.
-    pub fn fingerprint(rp: &ResolvedProgram) -> u64 {
+    /// Content key of a program: the hash of its units' printed-text
+    /// hashes, in order. A unit shared with the seeded program reads
+    /// its hash from the seed; any other unit is printed here. Two
+    /// programs with the same printed form get the same key and
+    /// analyze identically, so they share facts.
+    pub fn key(&self, prog: &Program) -> u64 {
+        self.key_and_changed(prog).0
+    }
+
+    /// The key, and how many units had to be printed for it.
+    fn key_and_changed(&self, prog: &Program) -> (u64, u64) {
         let mut h = DefaultHasher::new();
-        print_program(&rp.program).hash(&mut h);
-        h.finish()
+        let mut changed = 0;
+        let mut text = String::new();
+        for u in &prog.units {
+            let unit_hash = match self.base_units.iter().find(|(b, _)| Arc::ptr_eq(b, u)) {
+                Some((_, seeded)) => *seeded,
+                None => {
+                    changed += 1;
+                    unit_hash(u, &mut text)
+                }
+            };
+            unit_hash.hash(&mut h);
+        }
+        (h.finish(), changed)
     }
 
     /// Returns the facts for `rp`, building (and caching) on a miss.
@@ -267,12 +371,15 @@ impl AnalysisCache {
     /// is returned uncached so its degraded facts can serve exactly the
     /// loop that asked, while later lookups get a fresh chance.
     pub fn facts(&self, rp: &ResolvedProgram) -> Arc<ProgramFacts> {
-        let fp = Self::fingerprint(rp);
-        if let Some(f) = self.lock().get(&fp) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let (key, changed) = self.key_and_changed(&rp.program);
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.changed_units.fetch_add(changed, Ordering::Relaxed);
+        if let Some(f) = self.lock().get(&key) {
+            if self.base_key == Some(key) {
+                self.unchanged.fetch_add(1, Ordering::Relaxed);
+            }
             return Arc::clone(f);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let built = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.build(rp)))
         {
             Ok(f) => f,
@@ -288,19 +395,37 @@ impl AnalysisCache {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Arc::new(built);
         }
-        Arc::clone(self.lock().entry(fp).or_insert(Arc::new(built)))
+        match self.lock().entry(key) {
+            // Another worker built the same program first: this lookup
+            // is a memo hit whose own build is discarded.
+            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Vacant(v) => {
+                self.inserted.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(v.insert(Arc::new(built)))
+            }
+        }
     }
 
-    /// Seeds the cache with facts computed elsewhere (the driver's
-    /// prelude facts for the base program). The stored `facts.sym` must
+    /// Seeds the cache with the base program and the facts computed for
+    /// it elsewhere (the driver's prelude facts): every unit is printed
+    /// and hashed once, here, so later lookups of programs derived from
+    /// `rp` print only what they changed. The stored `facts.sym` must
     /// extend this cache's base interner.
-    pub fn seed(&self, rp: &ResolvedProgram, facts: ProgramFacts) -> Arc<ProgramFacts> {
+    pub fn seed(&mut self, rp: &ResolvedProgram, facts: ProgramFacts) -> Arc<ProgramFacts> {
         debug_assert!(
             self.base_sym.interner.is_prefix_of(&facts.sym.interner),
             "seeded facts must carry an extension of the base interner"
         );
-        let fp = Self::fingerprint(rp);
-        Arc::clone(self.lock().entry(fp).or_insert_with(|| Arc::new(facts)))
+        let mut text = String::new();
+        self.base_units = rp
+            .program
+            .units
+            .iter()
+            .map(|u| (Arc::clone(u), unit_hash(u, &mut text)))
+            .collect();
+        let key = self.key(&rp.program);
+        self.base_key = Some(key);
+        Arc::clone(self.lock().entry(key).or_insert_with(|| Arc::new(facts)))
     }
 
     fn build(&self, rp: &ResolvedProgram) -> ProgramFacts {
@@ -331,14 +456,19 @@ impl AnalysisCache {
         self.map.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to build.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    /// The lookups so far, by how each was answered. Read it once the
+    /// workers are done: the fields are loaded one by one.
+    pub fn stats(&self) -> DetourStats {
+        let lookups = self.lookups.load(Ordering::Relaxed);
+        let unchanged = self.unchanged.load(Ordering::Relaxed);
+        let builds = self.inserted.load(Ordering::Relaxed) + self.rejected();
+        DetourStats {
+            lookups,
+            unchanged,
+            memo_hits: lookups - unchanged - builds,
+            builds,
+            changed_units: self.changed_units.load(Ordering::Relaxed),
+        }
     }
 
     /// Builds rejected from the map (budget-tripped or panicked).
@@ -389,8 +519,8 @@ mod tests {
         let fa = cache.facts(&a);
         let fb = cache.facts(&b);
         assert!(Arc::ptr_eq(&fa, &fb), "same text must share one entry");
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
+        let st = cache.stats();
+        assert_eq!((st.lookups, st.builds, st.memo_hits), (2, 1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -399,14 +529,11 @@ mod tests {
         let a = rp("PROGRAM P\nX = 1.0\nEND\n");
         let b = rp("PROGRAM P\nX = 2.0\nEND\n");
         let cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new());
-        assert_ne!(
-            AnalysisCache::fingerprint(&a),
-            AnalysisCache::fingerprint(&b)
-        );
+        assert_ne!(cache.key(&a.program), cache.key(&b.program));
         let fa = cache.facts(&a);
         let fb = cache.facts(&b);
         assert!(!Arc::ptr_eq(&fa, &fb));
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.stats().builds, 2);
     }
 
     #[test]
@@ -435,8 +562,7 @@ mod tests {
         // A later lookup does not see the poisoned entry: it rebuilds.
         let f2 = cache.facts(&p);
         assert!(!Arc::ptr_eq(&f1, &f2));
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        assert_eq!((cache.stats().builds, cache.stats().memo_hits), (2, 0));
     }
 
     #[test]
@@ -483,6 +609,48 @@ mod tests {
         let canonical = cache.facts(&p);
         assert!(facts.iter().all(|f| Arc::ptr_eq(f, &canonical)));
         assert_eq!(cache.len(), 1);
+        // However the four raced, exactly one lookup's build was used.
+        let st = cache.stats();
+        assert_eq!((st.lookups, st.builds, st.memo_hits), (5, 1, 4));
+    }
+
+    #[test]
+    fn shared_units_key_by_pointer_and_changed_units_by_text() {
+        let base = rp(
+            "PROGRAM P\nREAL A(10)\nCALL S(A)\nEND\nSUBROUTINE S(X)\nREAL X(*)\nX(1) = 0.0\nEND\n",
+        );
+        let mut cache = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new());
+        let seeded = cache.build(&base);
+        let seeded = cache.seed(&base, seeded);
+        let base_key = cache.key(&base.program);
+
+        // A clone shares every unit: same key, and the lookup is counted
+        // as a detour that changed nothing.
+        let mut edit = base.program.clone();
+        assert_eq!(cache.key(&edit), base_key);
+        let same = cache.facts(&base.reresolve(edit.clone()).expect("reresolve"));
+        assert!(Arc::ptr_eq(&same, &seeded));
+        assert_eq!(
+            cache.stats(),
+            DetourStats {
+                lookups: 1,
+                unchanged: 1,
+                ..DetourStats::default()
+            }
+        );
+
+        // A copied but textually equal unit is still the same program.
+        edit.unit_mut("S").expect("S");
+        assert!(!Arc::ptr_eq(&base.program.units[1], &edit.units[1]));
+        assert_eq!(cache.key(&edit), base_key);
+
+        // A changed unit changes the key; the untouched one is not reprinted
+        // (its hash comes from the seed), so the key equals a from-scratch
+        // key of the same text.
+        edit.unit_mut("S").expect("S").body.stmts.pop();
+        let fresh = AnalysisCache::new(Capabilities::polaris2008(), SymMap::new());
+        assert_ne!(cache.key(&edit), base_key);
+        assert_eq!(cache.key(&edit), fresh.key(&edit));
     }
 
     #[test]

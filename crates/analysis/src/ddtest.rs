@@ -1258,7 +1258,7 @@ mod tests {
             if prelude == Prelude::Driver {
                 let mut prog = rp.program.clone();
                 let mut next_id = prog.stmt_count;
-                for u in &mut prog.units {
+                for u in prog.units_mut() {
                     induction::run_on_unit(u, &rp.tables[&u.name], &mut next_id);
                 }
                 prog.stmt_count = next_id;

@@ -333,7 +333,7 @@ mod tests {
         let mut prog = rp.program.clone();
         let mut next = prog.stmt_count;
         let mut report = InductionReport::default();
-        for u in &mut prog.units {
+        for u in prog.units_mut() {
             let r = run_on_unit(u, &rp.tables[&u.name], &mut next);
             report.substituted.extend(r.substituted);
         }

@@ -12,9 +12,12 @@
 //! classification: foreign callees (multilingual, §2.4), array-section
 //! actuals (reshaped storage, §2.3), recursion, and mid-body RETURNs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use apar_minifort::ast::{Block, Decl, DeclName, Expr as Ast, Stmt, StmtId, StmtKind, UnitKind};
+use apar_minifort::ast::{
+    Block, Decl, DeclName, Expr as Ast, Stmt, StmtId, StmtKind, Unit, UnitKind,
+};
+use apar_minifort::resolve::is_intrinsic;
 use apar_minifort::symtab::{Storage, SymbolKind};
 use apar_minifort::{Lang, Program, ResolvedProgram};
 
@@ -47,8 +50,10 @@ pub struct InlineOk {
     pub spliced_stmts: usize,
 }
 
-/// Inlines the CALL at `call_stmt` inside `caller`, mutating `prog`.
-/// The caller must re-resolve the program afterwards.
+/// Inlines the CALL at `call_stmt` inside `caller`, mutating `prog` — a
+/// clone of `rp.program`, of which only the caller unit is copied
+/// ([`Program::unit_mut`]). The caller must re-resolve the program
+/// afterwards ([`ResolvedProgram::reresolve`]).
 pub fn inline_call(
     prog: &mut Program,
     rp: &ResolvedProgram,
@@ -70,10 +75,7 @@ pub fn inline_call(
         });
         found.ok_or(InlineFail::NoSuchCall)?
     };
-    let callee = rp
-        .unit(&callee_name)
-        .ok_or(InlineFail::UnknownCallee)?
-        .clone();
+    let callee = rp.unit(&callee_name).ok_or(InlineFail::UnknownCallee)?;
     if callee.lang == Lang::C && !caps.multilingual {
         return Err(InlineFail::Foreign);
     }
@@ -174,8 +176,7 @@ pub fn inline_call(
 
     // Rewrite callee decls under the renaming, dropping declarations of
     // formals (their actuals are already declared in the caller).
-    let formals: std::collections::HashSet<&str> =
-        callee.formals.iter().map(|f| f.as_str()).collect();
+    let formals: HashSet<&str> = callee.formals.iter().map(|f| f.as_str()).collect();
     let mut new_decls: Vec<Decl> = Vec::new();
     for d in &callee.decls {
         if let Some(nd) = rename_decl(d, &rename, &formals) {
@@ -202,7 +203,7 @@ pub fn inline_call(
     // Replace the CALL statement with the spliced body.
     let unit = prog.unit_mut(caller).ok_or(InlineFail::NoSuchCall)?;
     unit.decls.extend(new_decls);
-    if !replace_stmt_with(&mut unit.body, call_stmt, splice) {
+    if !replace_stmt_with(&mut unit.body, call_stmt, &mut Some(splice)) {
         return Err(InlineFail::NoSuchCall);
     }
     Ok(InlineOk {
@@ -221,7 +222,10 @@ pub fn inline_call(
 /// sites expanded and no remaining CALL or function reference anywhere
 /// in the program naming it — is removed from the program entirely, so
 /// the analyzed copy does not carry dead statements (and a later
-/// re-resolution can legitimately see the program shrink).
+/// re-resolution can legitimately see the program shrink). `prog` is a
+/// clone of `rp.program` and `cg` the call graph of `rp`: every unit
+/// but `unit` is untouched, so `cg` still lists exactly their
+/// references and only `unit` is walked again.
 #[allow(clippy::too_many_arguments)]
 pub fn inline_calls_in_loop(
     prog: &mut Program,
@@ -234,10 +238,31 @@ pub fn inline_calls_in_loop(
     max_stmts: usize,
     ops: &OpCounter,
 ) -> (usize, Vec<(String, InlineFail)>) {
+    let (inlined, failures, inlined_names) = expand_calls_in_loop(
+        prog, rp, cg, caps, unit, loop_stmt, max_depth, max_stmts, ops,
+    );
+    remove_inlined_away(prog, cg, unit, &inlined_names);
+    (inlined, failures)
+}
+
+/// The expansion half of [`inline_calls_in_loop`]; also returns the
+/// names of the callees it expanded at least once.
+#[allow(clippy::too_many_arguments)]
+fn expand_calls_in_loop(
+    prog: &mut Program,
+    rp: &ResolvedProgram,
+    cg: &CallGraph,
+    caps: Capabilities,
+    unit: &str,
+    loop_stmt: StmtId,
+    max_depth: usize,
+    max_stmts: usize,
+    ops: &OpCounter,
+) -> (usize, Vec<(String, InlineFail)>, HashSet<String>) {
     let mut failures = Vec::new();
     let mut inlined = 0usize;
     let mut spliced_total = 0usize;
-    let mut inlined_names: std::collections::HashSet<String> = Default::default();
+    let mut inlined_names: HashSet<String> = Default::default();
     for _ in 0..max_depth {
         if ops.exceeded() {
             break;
@@ -279,59 +304,87 @@ pub fn inline_calls_in_loop(
         }
         failures.clear(); // only the final round's failures matter
     }
-    // Remove callees that were inlined here and are now unreferenced
-    // program-wide. Only units this expansion touched are candidates:
-    // units dead on arrival are kept, since their declarations still
-    // contribute to COMMON extents.
-    if !inlined_names.is_empty() {
-        let refs = referenced_units(prog);
-        prog.units.retain(|u| {
-            u.kind == UnitKind::Main || !inlined_names.contains(&u.name) || refs.contains(&u.name)
-        });
+    (inlined, failures, inlined_names)
+}
+
+/// Removes the callees among `inlined_names` that nothing in the
+/// program references any more. Only units the expansion touched are
+/// candidates: units dead on arrival are kept, since their declarations
+/// still contribute to COMMON extents. `unit` is the one unit the
+/// expansion rewrote, so its references are collected from its new
+/// text; every other unit's are the edges `cg` — the call graph of the
+/// program before expansion — already holds.
+fn remove_inlined_away(
+    prog: &mut Program,
+    cg: &CallGraph,
+    unit: &str,
+    inlined_names: &HashSet<String>,
+) {
+    if inlined_names.is_empty() {
+        return;
     }
-    (inlined, failures)
+    let mut refs: HashSet<String> = Default::default();
+    if let Some(u) = prog.unit(unit) {
+        collect_refs(u, &mut refs);
+    }
+    prog.units.retain(|u| {
+        u.kind == UnitKind::Main
+            || !inlined_names.contains(&u.name)
+            || refs.contains(&u.name)
+            || cg.calls_to(&u.name).any(|site| site.caller != unit)
+            // The call graph records no edge to a name that shadows an
+            // intrinsic, so it cannot vouch for such a unit: keep it.
+            || is_intrinsic(&u.name)
+    });
 }
 
 /// Names of units referenced by any CALL statement or function
-/// reference anywhere in the program.
-fn referenced_units(prog: &Program) -> std::collections::HashSet<String> {
-    let mut refs: std::collections::HashSet<String> = Default::default();
+/// reference anywhere in the program: the walk of every unit that
+/// [`remove_inlined_away`] replaced, kept as its oracle.
+#[cfg(test)]
+fn referenced_units(prog: &Program) -> HashSet<String> {
+    let mut refs: HashSet<String> = Default::default();
     for u in &prog.units {
-        u.body.walk_stmts(&mut |s| {
-            let mut exprs: Vec<&Ast> = Vec::new();
-            match &s.kind {
-                StmtKind::Assign { lhs, rhs } => {
-                    exprs.push(lhs);
-                    exprs.push(rhs);
-                }
-                StmtKind::If { arms, .. } => exprs.extend(arms.iter().map(|(c, _)| c)),
-                StmtKind::Do { lo, hi, step, .. } => {
-                    exprs.push(lo);
-                    exprs.push(hi);
-                    if let Some(st) = step {
-                        exprs.push(st);
-                    }
-                }
-                StmtKind::DoWhile { cond, .. } => exprs.push(cond),
-                StmtKind::Call { name, args } => {
-                    refs.insert(name.clone());
-                    exprs.extend(args.iter());
-                }
-                StmtKind::Read { items } | StmtKind::Write { items } => {
-                    exprs.extend(items.iter());
-                }
-                _ => {}
-            }
-            for e in exprs {
-                e.walk(&mut |x| {
-                    if let Ast::CallF { name, .. } = x {
-                        refs.insert(name.clone());
-                    }
-                });
-            }
-        });
+        collect_refs(u, &mut refs);
     }
     refs
+}
+
+/// Adds every name a CALL statement or function reference in `u` uses.
+fn collect_refs(u: &Unit, refs: &mut HashSet<String>) {
+    u.body.walk_stmts(&mut |s| {
+        let mut exprs: Vec<&Ast> = Vec::new();
+        match &s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                exprs.push(lhs);
+                exprs.push(rhs);
+            }
+            StmtKind::If { arms, .. } => exprs.extend(arms.iter().map(|(c, _)| c)),
+            StmtKind::Do { lo, hi, step, .. } => {
+                exprs.push(lo);
+                exprs.push(hi);
+                if let Some(st) = step {
+                    exprs.push(st);
+                }
+            }
+            StmtKind::DoWhile { cond, .. } => exprs.push(cond),
+            StmtKind::Call { name, args } => {
+                refs.insert(name.clone());
+                exprs.extend(args.iter());
+            }
+            StmtKind::Read { items } | StmtKind::Write { items } => {
+                exprs.extend(items.iter());
+            }
+            _ => {}
+        }
+        for e in exprs {
+            e.walk(&mut |x| {
+                if let Ast::CallF { name, .. } = x {
+                    refs.insert(name.clone());
+                }
+            });
+        }
+    });
 }
 
 fn has_mid_body_return(b: &Block) -> bool {
@@ -499,11 +552,7 @@ fn rename_stmt(s: &mut Stmt, rename: &HashMap<String, Ast>) {
     }
 }
 
-fn rename_decl(
-    d: &Decl,
-    rename: &HashMap<String, Ast>,
-    formals: &std::collections::HashSet<&str>,
-) -> Option<Decl> {
+fn rename_decl(d: &Decl, rename: &HashMap<String, Ast>, formals: &HashSet<&str>) -> Option<Decl> {
     let rn = |n: &str| -> String {
         match rename.get(n) {
             Some(Ast::Name(new)) => new.clone(),
@@ -570,30 +619,25 @@ fn rename_decl(
     }
 }
 
-fn replace_stmt_with(b: &mut Block, target: StmtId, replacement: Vec<Stmt>) -> bool {
+/// Replaces the statement `target` with `replacement`, which is taken
+/// at the hit — the blocks searched on the way never see it.
+fn replace_stmt_with(b: &mut Block, target: StmtId, replacement: &mut Option<Vec<Stmt>>) -> bool {
     if let Some(pos) = b.stmts.iter().position(|s| s.id == target) {
-        b.stmts.splice(pos..=pos, replacement);
+        b.stmts
+            .splice(pos..=pos, replacement.take().unwrap_or_default());
         return true;
     }
     for s in &mut b.stmts {
         let hit = match &mut s.kind {
             StmtKind::If { arms, else_blk } => {
-                let mut done = false;
-                for (_, bb) in arms.iter_mut() {
-                    if replace_stmt_with(bb, target, replacement.clone()) {
-                        done = true;
-                        break;
-                    }
-                }
-                if !done {
-                    if let Some(bb) = else_blk {
-                        done = replace_stmt_with(bb, target, replacement.clone());
-                    }
-                }
-                done
+                arms.iter_mut()
+                    .any(|(_, bb)| replace_stmt_with(bb, target, replacement))
+                    || else_blk
+                        .as_mut()
+                        .is_some_and(|bb| replace_stmt_with(bb, target, replacement))
             }
             StmtKind::Do { body, .. } | StmtKind::DoWhile { body, .. } => {
-                replace_stmt_with(body, target, replacement.clone())
+                replace_stmt_with(body, target, replacement)
             }
             _ => false,
         };
@@ -788,6 +832,108 @@ mod tests {
         // The call after the loop still references STEP, so the unit
         // must survive the dead-callee sweep.
         assert!(prog.unit("STEP").is_some(), "referenced callee retained");
+    }
+
+    /// Expands the calls of every call-bearing loop of `src` (or only
+    /// of loops in `only_unit`) and checks that the call-graph removal
+    /// rule leaves exactly the units the whole-program walk would.
+    /// Returns, per loop, the unit names that remain.
+    fn removal_matches_oracle(src: &str, depth: usize) -> Vec<Vec<String>> {
+        let rp = frontend(src).expect("frontend");
+        let cg = CallGraph::build(&rp);
+        let mut remaining = Vec::new();
+        for info in &crate::loops::LoopForest::build(&rp).loops {
+            if info.calls.is_empty() {
+                continue;
+            }
+            let mut prog = rp.program.clone();
+            let (_, _, inlined_names) = expand_calls_in_loop(
+                &mut prog,
+                &rp,
+                &cg,
+                Capabilities::full(),
+                &info.id.unit,
+                info.id.stmt,
+                depth,
+                10_000,
+                &OpCounter::unlimited(),
+            );
+            let mut oracle = prog.clone();
+            let refs = referenced_units(&oracle);
+            oracle.units.retain(|u| {
+                u.kind == UnitKind::Main
+                    || !inlined_names.contains(&u.name)
+                    || refs.contains(&u.name)
+            });
+            remove_inlined_away(&mut prog, &cg, &info.id.unit, &inlined_names);
+            let names =
+                |p: &Program| -> Vec<String> { p.units.iter().map(|u| u.name.clone()).collect() };
+            assert_eq!(
+                names(&prog),
+                names(&oracle),
+                "loop {:?} in {}",
+                info.id.stmt,
+                info.id.unit
+            );
+            remaining.push(names(&prog));
+        }
+        remaining
+    }
+
+    #[test]
+    fn call_graph_removal_rule_matches_the_whole_program_walk_on_suites_and_generated_programs() {
+        use apar_minicheck::fortgen::{gen_program, GenConfig};
+        let mut sources: Vec<String> = apar_workloads::all_suites()
+            .into_iter()
+            .map(|w| w.source)
+            .collect();
+        let mut rng = apar_minicheck::Rng::new(0x1a11_ed00);
+        while sources.len() < 8 + 50 {
+            let src = gen_program(&mut rng, &GenConfig::default());
+            if frontend(&src).is_ok() {
+                sources.push(src);
+            }
+        }
+        let (mut loops, mut removals) = (0, 0);
+        for src in &sources {
+            let units = frontend(src).expect("frontend").program.units.len();
+            for names in removal_matches_oracle(src, 3) {
+                loops += 1;
+                removals += units - names.len();
+            }
+        }
+        eprintln!("{loops} call-bearing loops, {removals} units inlined away");
+        assert!(loops >= 50, "only {loops} call-bearing loops");
+        assert!(removals > 0, "no loop ever inlined a callee away");
+    }
+
+    #[test]
+    fn call_graph_removal_rule_on_a_chain_and_a_function_reference() {
+        // P's loop calls B, B calls C: at depth 2 both are expanded into
+        // the loop. B has no caller left and goes; C stays, because B's
+        // own text — B is still there when references are collected —
+        // names it.
+        let chain = "PROGRAM P\nREAL X(10)\nDO I = 1, 5\nCALL B(X, I)\nENDDO\nEND\n\
+                     SUBROUTINE B(A, K)\nREAL A(*)\nCALL C(A, K)\nEND\n\
+                     SUBROUTINE C(A, K)\nREAL A(*)\nA(K) = A(K) + 1.0\nEND\n";
+        assert_eq!(removal_matches_oracle(chain, 3), vec![vec!["P", "C"]]);
+
+        // G is expanded into P's loop, but Q still names it in a
+        // function reference, which only the call graph knows about.
+        let callf = "PROGRAM P\nREAL X(10)\nDO I = 1, 5\nCALL G(X, I)\nENDDO\nEND\n\
+                     FUNCTION G(A, K)\nREAL A(*)\nA(K) = A(K) + 1.0\nG = 0.0\nEND\n\
+                     SUBROUTINE Q(Y)\nREAL Y(*)\nZ = G(Y, 1)\nEND\n";
+        assert_eq!(removal_matches_oracle(callf, 3), vec![vec!["P", "G", "Q"]]);
+
+        // A unit whose name shadows an intrinsic has no call-graph
+        // edges; the rule keeps it rather than guess.
+        let shadow = "PROGRAM P\nREAL X(10)\nDO I = 1, 5\nCALL MAX0(X, I)\nENDDO\nCALL Q(X)\nEND\n\
+                      SUBROUTINE MAX0(A, K)\nREAL A(*)\nA(K) = 1.0\nEND\n\
+                      SUBROUTINE Q(Y)\nREAL Y(*)\nCALL MAX0(Y, 1)\nEND\n";
+        assert_eq!(
+            removal_matches_oracle(shadow, 3),
+            vec![vec!["P", "MAX0", "Q"]]
+        );
     }
 
     #[test]

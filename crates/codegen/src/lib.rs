@@ -57,7 +57,7 @@ pub fn emit(rp: &ResolvedProgram, serial_reasons: &HashMap<StmtId, String>) -> E
     let mut prog = rp.program.clone();
     let mut emitted = 0usize;
     let mut rejected: Vec<Rejection> = Vec::new();
-    for u in &mut prog.units {
+    for u in prog.units_mut() {
         let table = &rp.tables[&u.name];
         strip_unrunnable(&mut u.body, table, &u.name, &mut emitted, &mut rejected);
     }
@@ -189,7 +189,7 @@ mod tests {
     use apar_minifort::{frontend, parse_program, Schedule};
 
     fn annotate_first_do(rp: &mut ResolvedProgram, d: LoopDirective) -> StmtId {
-        for u in &mut rp.program.units {
+        for u in rp.program.units_mut() {
             for s in &mut u.body.stmts {
                 if let StmtKind::Do { auto_par, .. } = &mut s.kind {
                     *auto_par = Some(d);

@@ -300,11 +300,18 @@ impl Compiler {
         }
 
         // ---- Induction variable substitution ------------------------------
+        // `units_mut` copies every unit out of the parser-built program
+        // (`rp` still shares them): the copies are capacity-tight, and
+        // they are what the `CompileResult` — and a result cache —
+        // retains. Every unit is resolved again, substituted or not:
+        // the first resolution's tables also list the function names it
+        // disambiguated, the second's do not, and the per-loop
+        // `reresolve` below is exact only against the second's.
         let t = Instant::now();
         let mut prog2 = rp.program.clone();
         let mut next_id = prog2.stmt_count;
         let mut substituted = 0u64;
-        for u in &mut prog2.units {
+        for u in prog2.units_mut() {
             if u.lang == apar_minifort::Lang::C && !caps.multilingual {
                 continue;
             }
@@ -414,7 +421,7 @@ impl Compiler {
         // interner growth) happens in the sequential merge below, in
         // loop order, which keeps reports bit-identical regardless of
         // thread count.
-        let cache = AnalysisCache::new(caps, sym.clone())
+        let mut cache = AnalysisCache::new(caps, sym.clone())
             .with_build_budget(self.profile.loop_op_budget.saturating_mul(32));
         let base = cache.seed(
             &rp,
@@ -473,6 +480,14 @@ impl Compiler {
                 .map(|o| o.expect("every loop was spliced or analyzed"))
                 .collect()
         };
+        report.detour = cache.stats();
+        // The cache pins the base units for its pointer test; release
+        // them so annotating `rp` below edits each unit in place.
+        drop(cache);
+        debug_assert!(
+            rp.program.units.iter().all(|u| Arc::strong_count(u) == 1),
+            "a scratch program or cache outlived the fan-out: the merge would copy units"
+        );
 
         // ---- Deterministic merge (loop order) -------------------------------
         let t_merge = Instant::now();
@@ -1145,6 +1160,8 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     let has_calls = !info.calls.is_empty();
     let (arp, inline_time, spliced) = if has_calls {
         let t = Instant::now();
+        // The scratch program shares every unit with `rp`; inlining
+        // copies this loop's unit and re-resolution is per changed unit.
         let mut scratch = rp.program.clone();
         let (_n, _fails) = inline::inline_calls_in_loop(
             &mut scratch,
@@ -1157,7 +1174,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
             ctx.profile.inline_stmt_budget,
             &loop_ops,
         );
-        match resolve(scratch) {
+        match rp.reresolve(scratch) {
             Ok(srp) => {
                 // Inlining can shrink the program as well as grow it (a
                 // callee whose every call site was expanded is removed
@@ -1748,6 +1765,32 @@ mod tests {
             let sa = seq.report.per_pass.get(&p).map_or(0, |c| c.ops);
             let sb = par.report.per_pass.get(&p).map_or(0, |c| c.ops);
             assert_eq!(sa, sb, "{:?} ops differ across thread counts", p);
+        }
+    }
+
+    #[test]
+    fn detour_counters_are_exact_and_thread_invariant() {
+        // Three call-bearing loops. The J and I loops of the nest inline
+        // the same call and end up with the same program: one build, one
+        // memo hit, P copied twice. The last loop passes an array
+        // section, which the inliner refuses: nothing is copied and the
+        // lookup lands on the seeded facts.
+        let src = "PROGRAM P\nREAL A(100), B(100)\nDO J = 1, 10\nDO I = 1, 100\nCALL SET(A, I)\nENDDO\nENDDO\nDO I = 1, 100\nCALL SET(B(5), I)\nENDDO\nEND\nSUBROUTINE SET(X, K)\nREAL X(*)\nX(K) = K * 2.0\nEND\n";
+        let want = apar_analysis::cache::DetourStats {
+            lookups: 3,
+            unchanged: 1,
+            memo_hits: 1,
+            builds: 1,
+            changed_units: 2,
+        };
+        let seq = compile(src, CompilerProfile::polaris2008());
+        assert_eq!(seq.report.detour, want);
+        // Whichever of the two nest loops a worker reaches first, and
+        // even when both build at once, one of them counts as the build.
+        for _ in 0..20 {
+            let par = compile(src, CompilerProfile::polaris2008().with_threads(4));
+            assert_eq!(par.report.detour, want);
+            assert_eq!(par.report_signature(), seq.report_signature());
         }
     }
 

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use apar_analysis::cache::DetourStats;
 use apar_minifort::{Diag, StmtId};
 
 /// The compiler passes of Figure 2's legend.
@@ -177,6 +178,10 @@ pub struct CompileReport {
     pub deadline_expired: bool,
     /// The degraded tier this compile ran at, when not `Full`.
     pub degrade: Option<DegradeTier>,
+    /// What the call-bearing loops' inline detours came to. Diagnostic:
+    /// loops spliced from a loop-record store take no detour, so this is
+    /// not part of [`crate::CompileResult::report_signature`].
+    pub detour: DetourStats,
 }
 
 impl CompileReport {

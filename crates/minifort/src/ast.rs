@@ -11,6 +11,7 @@
 
 use crate::types::{Lang, Ty};
 use std::fmt;
+use std::sync::Arc;
 
 /// Program-unique statement identifier, assigned in parse order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,9 +24,17 @@ impl fmt::Debug for StmtId {
 }
 
 /// A whole multi-unit program (one "application suite").
+///
+/// Units are reference-counted, so cloning a program copies no unit:
+/// the clone shares every unit until one is mutated through
+/// [`Program::unit_mut`] / [`Program::units_mut`], which copy just that
+/// unit first. A transform that edits one unit of a cloned program
+/// leaves the rest pointer-identical to the original's — which is how
+/// the re-resolver and the analysis cache recognize what it did not
+/// touch.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    pub units: Vec<Unit>,
+    pub units: Vec<Arc<Unit>>,
     /// Total number of statement ids handed out (ids are `0..stmt_count`).
     pub stmt_count: u32,
 }
@@ -33,12 +42,22 @@ pub struct Program {
 impl Program {
     /// Finds a unit by (uppercase) name.
     pub fn unit(&self, name: &str) -> Option<&Unit> {
-        self.units.iter().find(|u| u.name == name)
+        self.units.iter().find(|u| u.name == name).map(|u| &**u)
     }
 
-    /// Mutable unit lookup.
+    /// Mutable unit lookup. A unit shared with another program is
+    /// copied first; the other program keeps the original.
     pub fn unit_mut(&mut self, name: &str) -> Option<&mut Unit> {
-        self.units.iter_mut().find(|u| u.name == name)
+        self.units
+            .iter_mut()
+            .find(|u| u.name == name)
+            .map(Arc::make_mut)
+    }
+
+    /// Every unit, mutably, in program order — each one copied first if
+    /// another program shares it.
+    pub fn units_mut(&mut self) -> impl Iterator<Item = &mut Unit> {
+        self.units.iter_mut().map(Arc::make_mut)
     }
 
     /// Number of executable statements (declarations excluded), the
@@ -492,7 +511,7 @@ mod tests {
             },
         );
         let prog = Program {
-            units: vec![Unit {
+            units: vec![Arc::new(Unit {
                 name: "MAIN".into(),
                 kind: UnitKind::Main,
                 lang: Lang::Fortran,
@@ -500,7 +519,7 @@ mod tests {
                 decls: vec![],
                 body: Block { stmts: vec![du] },
                 line: 1,
-            }],
+            })],
             stmt_count: 2,
         };
         assert_eq!(prog.executable_statements(), 2);

@@ -250,7 +250,7 @@ impl Parser {
                 }
                 _ => match self.unit(std::mem::take(&mut next_lang)) {
                     Ok(u) => {
-                        units.push(u);
+                        units.push(std::sync::Arc::new(u));
                         next_lang = Lang::Fortran;
                     }
                     Err(e) => {

@@ -16,6 +16,7 @@
 //!    [`Expr::CallF`].
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::diag::ResolveError;
@@ -39,12 +40,42 @@ pub fn is_intrinsic(name: &str) -> bool {
 
 /// A fully resolved program: AST (with `Sub` nodes rewritten) plus
 /// per-unit symbol tables and program-wide COMMON block sizes.
+///
+/// Units and tables are reference-counted: a clone shares them, and
+/// [`ResolvedProgram::reresolve`] hands an edited program the tables of
+/// every unit the edit left alone.
 #[derive(Clone, Debug)]
 pub struct ResolvedProgram {
     pub program: Program,
-    pub tables: HashMap<String, SymbolTable>,
+    pub tables: HashMap<String, Arc<SymbolTable>>,
     /// Maximum extent (words) of each COMMON block across all units.
     pub common_sizes: HashMap<String, i64>,
+}
+
+/// Tables and COMMON extents, accumulated unit by unit.
+#[derive(Default)]
+struct Resolution {
+    tables: HashMap<String, Arc<SymbolTable>>,
+    common_sizes: HashMap<String, i64>,
+}
+
+impl Resolution {
+    /// Records `unit`'s table and widens the COMMON blocks it declares.
+    fn add(&mut self, unit: &Unit, table: Arc<SymbolTable>) {
+        for (blk, sz) in table.common_blocks() {
+            let e = self.common_sizes.entry(blk).or_insert(0);
+            *e = sz.max(*e);
+        }
+        self.tables.insert(unit.name.clone(), table);
+    }
+
+    fn finish(self, program: Program) -> ResolvedProgram {
+        ResolvedProgram {
+            program,
+            tables: self.tables,
+            common_sizes: self.common_sizes,
+        }
+    }
 }
 
 impl ResolvedProgram {
@@ -65,32 +96,62 @@ impl ResolvedProgram {
 
     /// The main program unit.
     pub fn main_unit(&self) -> Option<&Unit> {
-        self.program.units.iter().find(|u| u.kind == UnitKind::Main)
+        self.program
+            .units
+            .iter()
+            .find(|u| u.kind == UnitKind::Main)
+            .map(|u| &**u)
+    }
+
+    /// Resolves `edited`, a clone of this program in which a transform
+    /// rewrote some units (through [`Program::unit_mut`], which gives
+    /// the rewritten unit a new allocation) and removed others. Only
+    /// the rewritten units are resolved; a unit still shared with
+    /// `self` keeps its table, a removed unit drops out of `tables`,
+    /// and `common_sizes` is recomputed over the units that remain.
+    ///
+    /// The result equals [`resolve`] of a deep copy of `edited`: units
+    /// resolve independently of each other, and a shared unit is a
+    /// tree `resolve` has already rewritten, for which resolving again
+    /// is a fixpoint — provided `self` was itself resolved from such a
+    /// tree. (The *first* resolution of parser output is not one: it
+    /// records the function names it disambiguates from `NAME(args)`,
+    /// which a later resolution of the rewritten tree no longer sees.
+    /// The compiler driver's base program has been through `resolve`
+    /// twice by the time loops are analyzed.)
+    pub fn reresolve(&self, mut edited: Program) -> Result<ResolvedProgram, ResolveError> {
+        let mut res = Resolution::default();
+        for unit in &mut edited.units {
+            let table = match self.table_if_shared(unit) {
+                Some(table) => Arc::clone(table),
+                None => Arc::new(resolve_unit(Arc::make_mut(unit))?),
+            };
+            res.add(unit, table);
+        }
+        Ok(res.finish(edited))
+    }
+
+    /// The table `tables` holds for `unit`, when `unit` is the very
+    /// allocation that table was built from. (`tables` is keyed by
+    /// name, so among same-named units it is the last one's.)
+    fn table_if_shared(&self, unit: &Arc<Unit>) -> Option<&Arc<SymbolTable>> {
+        let owner = self.program.units.iter().rfind(|u| u.name == unit.name)?;
+        if Arc::ptr_eq(owner, unit) {
+            self.tables.get(&unit.name)
+        } else {
+            None
+        }
     }
 }
 
 /// Resolves a parsed program.
 pub fn resolve(mut prog: Program) -> Result<ResolvedProgram, ResolveError> {
-    let defined_units: HashSet<String> = prog.units.iter().map(|u| u.name.clone()).collect();
-    let mut tables = HashMap::new();
-    let mut common_sizes: HashMap<String, i64> = HashMap::new();
-
-    for unit in &mut prog.units {
-        let table = resolve_unit(unit, &defined_units)?;
-        for (blk, sz) in table.common_blocks() {
-            let e = common_sizes.entry(blk).or_insert(0);
-            if sz > *e {
-                *e = sz;
-            }
-        }
-        tables.insert(unit.name.clone(), table);
+    let mut res = Resolution::default();
+    for unit in prog.units_mut() {
+        let table = resolve_unit(unit)?;
+        res.add(unit, Arc::new(table));
     }
-
-    Ok(ResolvedProgram {
-        program: prog,
-        tables,
-        common_sizes,
-    })
+    Ok(res.finish(prog))
 }
 
 /// Resolves with recovery: a unit that fails to resolve is dropped from
@@ -99,22 +160,14 @@ pub fn resolve(mut prog: Program) -> Result<ResolvedProgram, ResolveError> {
 /// unknown-routine calls, which the analyses already treat
 /// conservatively (opaque side effects).
 pub fn resolve_recovering(mut prog: Program) -> (ResolvedProgram, Vec<ResolveError>) {
-    let defined_units: HashSet<String> = prog.units.iter().map(|u| u.name.clone()).collect();
-    let mut tables = HashMap::new();
-    let mut common_sizes: HashMap<String, i64> = HashMap::new();
+    let mut res = Resolution::default();
     let mut errors = Vec::new();
     let mut kept = Vec::with_capacity(prog.units.len());
 
     for mut unit in std::mem::take(&mut prog.units) {
-        match resolve_unit(&mut unit, &defined_units) {
+        match resolve_unit(Arc::make_mut(&mut unit)) {
             Ok(table) => {
-                for (blk, sz) in table.common_blocks() {
-                    let e = common_sizes.entry(blk).or_insert(0);
-                    if sz > *e {
-                        *e = sz;
-                    }
-                }
-                tables.insert(unit.name.clone(), table);
+                res.add(&unit, Arc::new(table));
                 kept.push(unit);
             }
             Err(e) => errors.push(e),
@@ -122,14 +175,7 @@ pub fn resolve_recovering(mut prog: Program) -> (ResolvedProgram, Vec<ResolveErr
     }
     prog.units = kept;
 
-    (
-        ResolvedProgram {
-            program: prog,
-            tables,
-            common_sizes,
-        },
-        errors,
-    )
+    (res.finish(prog), errors)
 }
 
 fn err(unit: &str, msg: impl Into<String>) -> ResolveError {
@@ -139,7 +185,10 @@ fn err(unit: &str, msg: impl Into<String>) -> ResolveError {
     }
 }
 
-fn resolve_unit(unit: &mut Unit, defined: &HashSet<String>) -> Result<SymbolTable, ResolveError> {
+/// Builds one unit's symbol table and rewrites the unit's `NAME(args)`
+/// nodes. Reads nothing outside the unit, so units resolve
+/// independently and in any order.
+fn resolve_unit(unit: &mut Unit) -> Result<SymbolTable, ResolveError> {
     let uname = unit.name.clone();
     let mut table = SymbolTable::new(&uname);
 
@@ -539,7 +588,6 @@ fn resolve_unit(unit: &mut Unit, defined: &HashSet<String>) -> Result<SymbolTabl
     unit.body.walk_stmts_mut(&mut |s| {
         rewrite_stmt(s, &is_array);
     });
-    let _ = defined; // defined-units set reserved for link checking
 
     Ok(table)
 }
@@ -997,6 +1045,63 @@ mod tests {
         assert!(errs.is_empty());
         assert_eq!(strict.unit_names(), rec.unit_names());
         assert_eq!(strict.common_sizes, rec.common_sizes);
+    }
+
+    fn deep_copy(p: &Program) -> Program {
+        Program {
+            units: p.units.iter().map(|u| Arc::new(Unit::clone(u))).collect(),
+            stmt_count: p.stmt_count,
+        }
+    }
+
+    fn assert_same(a: &ResolvedProgram, b: &ResolvedProgram) {
+        assert_eq!(a.unit_names(), b.unit_names());
+        for name in a.unit_names() {
+            assert_eq!(
+                format!("{:?}", a.tables[name]),
+                format!("{:?}", b.tables[name]),
+                "table of {name}"
+            );
+        }
+        assert_eq!(a.common_sizes, b.common_sizes);
+    }
+
+    #[test]
+    fn reresolve_resolves_only_what_was_copied() {
+        let src = "PROGRAM P\nREAL A(10)\nCOMMON /B/ A\nX = F(1)\nY = 2.0\nEND\nSUBROUTINE S\nREAL Z(50)\nCOMMON /B/ Z\nEND\n";
+        let once = front(src);
+        let base = resolve(once.program.clone()).expect("second resolution");
+        // The precondition in `reresolve`'s contract: only the first
+        // resolution sees `F(1)` as `NAME(args)` and lists F.
+        assert!(once.table("P").get("F").is_some());
+        assert!(base.table("P").get("F").is_none());
+
+        let mut edit = base.program.clone();
+        edit.unit_mut("P").expect("P").body.stmts.pop();
+        let shared = base.reresolve(edit.clone()).expect("reresolve");
+        assert_same(&shared, &resolve(deep_copy(&edit)).expect("resolve"));
+        assert!(Arc::ptr_eq(&shared.tables["S"], &base.tables["S"]));
+        assert!(!Arc::ptr_eq(&shared.tables["P"], &base.tables["P"]));
+        assert!(shared.table("P").get("Y").is_none(), "P was resolved anew");
+
+        // A removed unit takes its table and its COMMON extent with it.
+        edit.units.retain(|u| u.name != "S");
+        let shrunk = base.reresolve(edit).expect("reresolve");
+        assert!(!shrunk.tables.contains_key("S"));
+        assert_eq!(shrunk.common_sizes["B"], 10);
+    }
+
+    #[test]
+    fn reresolve_is_exact_when_two_units_share_a_name() {
+        // `tables` can hold only the second S's table, so the first S is
+        // resolved again rather than handed the wrong one: /B/ keeps the
+        // extent only the first S declares.
+        let src = "PROGRAM P\nEND\nSUBROUTINE S\nREAL Z(50)\nCOMMON /B/ Z\nEND\nSUBROUTINE S\nREAL Z(5)\nCOMMON /B/ Z\nEND\n";
+        let base = resolve(front(src).program).expect("second resolution");
+        assert_eq!(base.common_sizes["B"], 50);
+        let again = base.reresolve(base.program.clone()).expect("reresolve");
+        assert_same(&again, &resolve(deep_copy(&base.program)).expect("resolve"));
+        assert_eq!(again.common_sizes["B"], 50);
     }
 
     #[test]

@@ -78,6 +78,11 @@ impl ToJson for ServiceStats {
             ("loop_refusals", self.facts.loop_refusals.to_json()),
             ("loop_entries", self.facts.loop_entries.to_json()),
             ("loop_evictions", self.facts.loop_evictions.to_json()),
+            ("detour_lookups", self.detour.lookups.to_json()),
+            ("detour_unchanged", self.detour.unchanged.to_json()),
+            ("detour_memo_hits", self.detour.memo_hits.to_json()),
+            ("detour_builds", self.detour.builds.to_json()),
+            ("detour_changed_units", self.detour.changed_units.to_json()),
             ("wall_s", self.wall_s.to_json()),
             ("suites_per_s", self.suites_per_s.to_json()),
             ("per_suite_wall_s", self.per_suite_wall_s.to_json()),

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use apar_analysis::cache::LoopRecord;
+use apar_analysis::cache::{DetourStats, LoopRecord};
 use apar_analysis::{LoopRecordStore, LoopStoreStats, SyncLru};
 use apar_core::jsonio::Json;
 use apar_core::{
@@ -282,6 +282,10 @@ pub struct ServiceStats {
     /// Loop-record store counters. The field keeps its old name for
     /// the frozen benchmark crate; rename with the next `benchmark` PR.
     pub facts: LoopStoreStats,
+    /// The compiler's inline-detour counters
+    /// ([`apar_core::CompileReport::detour`]), summed over the compiles
+    /// that ran: cache hits and duplicates add nothing.
+    pub detour: DetourStats,
     /// Durable-store counters (zeroed/disabled when no store is
     /// attached). Batch stats carry the delta for the batch; cumulative
     /// stats carry lifetime values including recovery.
@@ -422,6 +426,8 @@ struct Tally {
     /// Requests whose artifact is [`SuiteArtifact::Failed`] (counted
     /// beside their class, not instead of it).
     failed: usize,
+    /// Inline-detour counters of the compiles that ran.
+    detour: DetourStats,
     wall_s: f64,
 }
 
@@ -431,6 +437,7 @@ impl Tally {
             *mine += theirs;
         }
         self.failed += batch.failed;
+        self.detour.add(&batch.detour);
         self.wall_s += batch.wall_s;
     }
 }
@@ -870,6 +877,11 @@ impl CompileService {
             };
             tally.served[served as usize] += 1;
             tally.failed += usize::from(matches!(**artifact, SuiteArtifact::Failed(_)));
+            if let (Plan::Job(_), false) = (plan, dup) {
+                if let Some(r) = artifact.compile() {
+                    tally.detour.add(&r.report.detour);
+                }
+            }
             outcomes.push(SuiteOutcome {
                 name: req.name.clone(),
                 served,
@@ -922,6 +934,7 @@ impl CompileService {
             quarantined_suites: self.quarantined_suites(),
             result_evictions: self.results.lock().evictions(),
             facts: loops,
+            detour: tally.detour,
             store,
             wall_s: tally.wall_s,
             suites_per_s: if tally.wall_s > 0.0 {
@@ -1278,6 +1291,35 @@ REAL X(100)
 X(K) = K * 2.0
 END
 ";
+
+    #[test]
+    fn detour_counters_follow_the_compiles_that_ran() {
+        use apar_core::jsonio::ToJson;
+        let s = CompileService::new(ServiceConfig::default());
+        // One compile for the pair: the duplicate adds no detour.
+        let first = s
+            .compile_many(&[
+                SuiteRequest::new("a", SRC_CALL),
+                SuiteRequest::new("a-dup", SRC_CALL),
+            ])
+            .stats;
+        let one_inlined_loop = DetourStats {
+            lookups: 1,
+            builds: 1,
+            changed_units: 1,
+            ..DetourStats::default()
+        };
+        assert_eq!(first.detour, one_inlined_loop);
+        assert!(first
+            .to_json()
+            .render_compact()
+            .contains("\"detour_lookups\":1,\"detour_unchanged\":0,\"detour_memo_hits\":0,\"detour_builds\":1,\"detour_changed_units\":1"));
+        // A result hit compiles nothing.
+        let again = s.compile_many(&[SuiteRequest::new("a", SRC_CALL)]).stats;
+        assert_eq!(again.result_hits, 1);
+        assert_eq!(again.detour, DetourStats::default());
+        assert_eq!(s.cumulative_stats().detour, one_inlined_loop);
+    }
 
     #[test]
     fn crash_looping_suite_is_quarantined_then_recovers_after_backoff() {

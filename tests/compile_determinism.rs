@@ -60,6 +60,12 @@ fn assert_thread_invariant(w: &wl::Workload) {
         "{}: full report signature differs",
         w.name
     );
+    // Off the signature, but counted so that worker races do not show.
+    assert_eq!(
+        serial.report.detour, parallel.report.detour,
+        "{}: inline-detour counters differ",
+        w.name
+    );
 }
 
 #[test]

@@ -44,7 +44,9 @@
 //! cached entry must also adopt that recorded `sym` — it is a
 //! deterministic extension of the base, so adopting it yields the same
 //! ids no matter which worker populated the entry first. This is what
-//! keeps per-pass op counts bit-identical across thread counts.
+//! keeps per-pass op counts bit-identical across thread counts. What a
+//! consumer interns on top stays private to it: forks are never merged
+//! back, because nothing after the fan-out reads symbolic ids.
 //!
 //! The cache is internally synchronized: workers share one
 //! `&AnalysisCache`. Builds run outside the lock; when two workers race

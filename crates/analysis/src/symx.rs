@@ -40,10 +40,10 @@ impl ExprFeatures {
 
 /// Owns the interner and the storage-based naming scheme.
 ///
-/// A `SymMap` can be *forked* (cloned) so each compilation worker
-/// interns privately, then canonically merged back with [`SymMap::absorb`]
-/// in a deterministic order — the scheme the parallel per-loop analysis
-/// stage of the driver relies on.
+/// A `SymMap` can be *forked* (cloned): each per-loop analysis worker
+/// starts from the map recorded with the facts it consumes and interns
+/// privately from there. A fork is never merged back — nothing after
+/// the fan-out reads symbolic ids.
 #[derive(Clone, Debug, Default)]
 pub struct SymMap {
     pub interner: Interner,
@@ -52,13 +52,6 @@ pub struct SymMap {
 impl SymMap {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Canonically merges a forked map back into this one (see
-    /// [`Interner::absorb`]): deterministic given a fixed absorb order,
-    /// independent of which worker produced the fork.
-    pub fn absorb(&mut self, other: &SymMap) {
-        self.interner.absorb(&other.interner);
     }
 
     /// The symbolic variable for `name` as seen from `unit`.

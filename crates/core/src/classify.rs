@@ -28,6 +28,19 @@ pub enum Classification {
 }
 
 impl Classification {
+    /// Every category, in declaration order.
+    pub const ALL: [Classification; 9] = [
+        Classification::Autoparallelized,
+        Classification::Aliasing,
+        Classification::Rangeless,
+        Classification::Indirection,
+        Classification::SymbolAnalysis,
+        Classification::AccessRepresentation,
+        Classification::Complexity,
+        Classification::RealDependence,
+        Classification::Control,
+    ];
+
     /// Display label matching the figure legend.
     pub fn label(&self) -> &'static str {
         match self {

@@ -30,12 +30,14 @@ pub mod nesting;
 pub mod pipeline;
 pub mod profile;
 pub mod report;
+pub mod splice;
 
 pub use cancel::CancelToken;
 pub use classify::Classification;
 pub use fanout::fan_out;
-pub use pipeline::{CompileResult, Compiler, EmitResult, LoopReport, SplicedLoop};
+pub use pipeline::{CompileResult, Compiler, EmitResult, LoopReport};
 pub use profile::CompilerProfile;
 pub use report::{CompileReport, DegradeTier, PassId};
+pub use splice::SplicedLoop;
 
 pub use apar_analysis::Capabilities;

@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::classify::{classify, Classification};
-use crate::jsonio::{JVal, Json};
 use crate::profile::CompilerProfile;
 use crate::report::{CompileReport, DegradeTier, PassId, SkipReason, SkippedLoop};
+use crate::splice::{AnalyzedLoop, SplicedLoop};
 use apar_analysis::access::{self, AccessKind};
 use apar_analysis::alias::AliasInfo;
 use apar_analysis::cache::{AnalysisCache, LoopRecordStore, ProgramFacts};
@@ -29,10 +29,10 @@ use apar_analysis::ranges::ScalarState;
 use apar_analysis::reduction;
 use apar_analysis::summary::Summaries;
 use apar_analysis::symx::SymMap;
-use apar_minifort::ast::{Block, LoopDirective, RedOp, Schedule, StmtKind};
+use apar_minifort::ast::{LoopDirective, Schedule, StmtKind};
 use apar_minifort::{
     frontend_recovering, parse_program, parse_program_recovering, resolve, resolve_recovering,
-    Diag, Program, ResolvedProgram, StmtId,
+    Diag, Program, ResolvedProgram, StmtId, Unit,
 };
 use apar_symbolic::OpCounter;
 
@@ -90,6 +90,15 @@ pub struct CompileResult {
 }
 
 impl CompileResult {
+    /// A compile of nothing: no units, no loops, nothing charged.
+    fn empty(report: CompileReport) -> Self {
+        CompileResult {
+            rp: ResolvedProgram::default(),
+            report,
+            loops: Vec::new(),
+        }
+    }
+
     /// Reports for `!$TARGET` loops only.
     pub fn target_loops(&self) -> impl Iterator<Item = &LoopReport> {
         self.loops.iter().filter(|l| l.target.is_some())
@@ -209,56 +218,25 @@ impl Compiler {
     /// instead of aborting the compile. Total — any byte sequence yields
     /// a `CompileResult` (possibly over an empty program).
     pub fn compile_source_recovering(&self, app: &str, src: &str) -> CompileResult {
-        let (mut prog, parse_errs) = parse_program_recovering(src);
-        // Probe-resolve a copy to learn which units the resolver must
-        // drop, then filter the *raw* program so the main pipeline (which
-        // re-resolves after every rewrite) never sees them.
-        let (_, resolve_errs) = resolve_recovering(prog.clone());
-        let bad: HashSet<&str> = resolve_errs.iter().map(|e| e.unit.as_str()).collect();
-        prog.units.retain(|u| !bad.contains(u.name.as_str()));
-        let mut diags: Vec<Diag> = parse_errs.into_iter().map(Diag::Parse).collect();
+        let (prog, parse_errs) = parse_program_recovering(src);
+        let t = Instant::now();
+        let (rp, resolve_errs) = resolve_recovering(prog);
+        let frontend_wall = t.elapsed();
         let mut dropped: Vec<String> = resolve_errs.iter().map(|e| e.unit.clone()).collect();
-        diags.extend(resolve_errs.into_iter().map(Diag::Resolve));
+        let mut diags: Vec<Diag> = parse_errs
+            .into_iter()
+            .map(Diag::Parse)
+            .chain(resolve_errs.into_iter().map(Diag::Resolve))
+            .collect();
 
-        let mut result = match self.compile(app, prog) {
-            Ok(r) => r,
-            Err(d) => {
-                // A mid-pipeline rewrite re-resolved into an error the
-                // probe didn't predict; degrade to an empty compile
-                // rather than panic or abort.
-                diags.push(d);
-                dropped.push("<all>".to_string());
-                let empty = Program {
-                    units: Vec::new(),
-                    stmt_count: 0,
-                };
-                match self.compile(app, empty) {
-                    Ok(r) => r,
-                    Err(d2) => {
-                        // Even the empty program failed — keep the
-                        // totality contract with a bare structured
-                        // result instead of panicking.
-                        diags.push(d2);
-                        CompileResult {
-                            rp: ResolvedProgram {
-                                program: Program {
-                                    units: Vec::new(),
-                                    stmt_count: 0,
-                                },
-                                tables: HashMap::new(),
-                                common_sizes: HashMap::new(),
-                            },
-                            report: CompileReport {
-                                app: app.to_string(),
-                                profile: self.profile.name.clone(),
-                                ..Default::default()
-                            },
-                            loops: Vec::new(),
-                        }
-                    }
-                }
-            }
-        };
+        let mut result = self.drive(app, rp, frontend_wall).unwrap_or_else(|d| {
+            // A unit the front end accepted stopped resolving after a
+            // rewrite: degrade to a compile of nothing rather than
+            // abort.
+            diags.push(d);
+            dropped.push("<all>".to_string());
+            CompileResult::empty(self.new_report(app))
+        });
         result.report.diags = diags;
         result.report.dropped_units = dropped;
         result
@@ -266,22 +244,36 @@ impl Compiler {
 
     /// Compiles a parsed program.
     pub fn compile(&self, app: &str, prog: Program) -> Result<CompileResult, Diag> {
-        let caps = self.profile.caps;
-        let mut report = CompileReport {
+        let t = Instant::now();
+        let rp = resolve(prog).map_err(Diag::Resolve)?;
+        self.drive(app, rp, t.elapsed())
+    }
+
+    fn new_report(&self, app: &str) -> CompileReport {
+        CompileReport {
             app: app.to_string(),
             profile: self.profile.name.clone(),
+            degrade: (self.degrade != DegradeTier::Full).then_some(self.degrade),
             ..Default::default()
-        };
-        if self.degrade != DegradeTier::Full {
-            report.degrade = Some(self.degrade);
         }
+    }
+
+    /// The driver body behind every entry point: `rp` is the program
+    /// as the front end — strict or recovering — resolved it, in
+    /// `frontend_wall`.
+    fn drive(
+        &self,
+        app: &str,
+        mut rp: ResolvedProgram,
+        frontend_wall: Duration,
+    ) -> Result<CompileResult, Diag> {
+        let caps = self.profile.caps;
+        let mut report = self.new_report(app);
 
         // ---- Frontend ("others") ----------------------------------------
-        let t = Instant::now();
-        let mut rp = resolve(prog).map_err(Diag::Resolve)?;
         report.statements = rp.program.executable_statements();
         report.units = rp.program.units.len();
-        report.charge(PassId::Others, t.elapsed(), rp.program.stmt_count as u64);
+        report.charge(PassId::Others, frontend_wall, rp.program.stmt_count as u64);
 
         // Parse-only tier stops here by design; an expired deadline
         // stops at the first post-frontend checkpoint. Either way the
@@ -300,26 +292,35 @@ impl Compiler {
         }
 
         // ---- Induction variable substitution ------------------------------
-        // `units_mut` copies every unit out of the parser-built program
-        // (`rp` still shares them): the copies are capacity-tight, and
-        // they are what the `CompileResult` — and a result cache —
-        // retains. Every unit is resolved again, substituted or not:
-        // the first resolution's tables also list the function names it
-        // disambiguated, the second's do not, and the per-loop
-        // `reresolve` below is exact only against the second's.
+        // Every unit is copied once: the parser grew the originals by
+        // pushing, the copies are capacity-tight, and they are what the
+        // `CompileResult` — and a result cache — retains. A copy the
+        // pass left alone is the same tree, so `rp` adopts it in the
+        // original's place and `reresolve` hands it the table it
+        // already has; only substituted units are resolved again.
         let t = Instant::now();
-        let mut prog2 = rp.program.clone();
-        let mut next_id = prog2.stmt_count;
+        let mut edited = Program {
+            units: Vec::with_capacity(rp.program.units.len()),
+            stmt_count: rp.program.stmt_count,
+        };
         let mut substituted = 0u64;
-        for u in prog2.units_mut() {
-            if u.lang == apar_minifort::Lang::C && !caps.multilingual {
-                continue;
+        for slot in &mut rp.program.units {
+            let mut copy = Unit::clone(slot);
+            let n = if copy.lang == apar_minifort::Lang::C && !caps.multilingual {
+                0
+            } else {
+                let table = &rp.tables[&copy.name];
+                let r = induction::run_on_unit(&mut copy, table, &mut edited.stmt_count);
+                r.substituted.len()
+            };
+            let copy = Arc::new(copy);
+            if n == 0 {
+                *slot = Arc::clone(&copy);
             }
-            let r = induction::run_on_unit(u, &rp.tables[&u.name], &mut next_id);
-            substituted += r.substituted.len() as u64;
+            substituted += n as u64;
+            edited.units.push(copy);
         }
-        prog2.stmt_count = next_id;
-        rp = resolve(prog2).map_err(Diag::Resolve)?;
+        rp = rp.reresolve(edited).map_err(Diag::Resolve)?;
         report.charge(
             PassId::InductionSubstitution,
             t.elapsed(),
@@ -394,21 +395,20 @@ impl Compiler {
         // under fault injection (a splice would skip the injected
         // panic). The parse-only tier returned above, so every compile
         // that gets here is a full analysis.
-        let splice_keys: Option<Vec<u64>> = if self.loop_store.is_some()
-            && self.profile.fault.is_none()
-        {
+        let store = self.loop_store.as_deref();
+        let store = store.filter(|_| self.profile.fault.is_none());
+        let splice: Option<(&LoopRecordStore, Vec<u64>)> = store.map(|store| {
             let knobs = incr::Knobs {
                 loop_op_budget: self.profile.loop_op_budget,
                 inline_depth: self.profile.inline_depth,
                 inline_stmt_budget: self.profile.inline_stmt_budget,
                 runtime_test: self.profile.runtime_test,
             };
-            Some(incr::loop_keys(
+            let keys = incr::loop_keys(
                 &rp, &forest, &cg, &summaries, &alias, &cp, &sym, &caps, &knobs,
-            ))
-        } else {
-            None
-        };
+            );
+            (store, keys)
+        });
 
         // ---- Per-loop analysis (fan-out) ------------------------------------
         //
@@ -417,10 +417,9 @@ impl Compiler {
         // over `profile.threads` scoped workers sharing one
         // content-keyed [`AnalysisCache`]. Workers never observe the
         // annotations other loops produce; ordering-sensitive work
-        // (outermost-parallel ancestry, annotation, charge accounting,
-        // interner growth) happens in the sequential merge below, in
-        // loop order, which keeps reports bit-identical regardless of
-        // thread count.
+        // (outermost-parallel ancestry, annotation, charge accounting)
+        // happens in the sequential merge below, in loop order, which
+        // keeps reports bit-identical regardless of thread count.
         let mut cache = AnalysisCache::new(caps, sym.clone())
             .with_build_budget(self.profile.loop_op_budget.saturating_mul(32));
         let base = cache.seed(
@@ -442,7 +441,7 @@ impl Compiler {
         // accounting is deterministic.
         let n = forest.loops.len();
         let mut slots: Vec<Option<LoopOutcome>> = (0..n).map(|_| None).collect();
-        if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
+        if let Some((store, keys)) = &splice {
             for (i, info) in forest.loops.iter().enumerate() {
                 let Some(rec) = store.loop_get(keys[i]) else {
                     continue;
@@ -450,7 +449,7 @@ impl Compiler {
                 match rec.downcast::<SplicedLoop>() {
                     Ok(s) if s.matches(info) => {
                         store.note_loop_hit();
-                        slots[i] = Some(s.to_outcome());
+                        slots[i] = Some(LoopOutcome::spliced(&s));
                     }
                     _ => store.note_loop_refusal(),
                 }
@@ -510,32 +509,19 @@ impl Compiler {
             // the rest of the program (facts-build budget trips) or
             // non-analyses (panics, deadline expiries) is ever stored,
             // and a spliced outcome is never `cacheable` again.
-            if let (Some(keys), Some(store)) = (&splice_keys, &self.loop_store) {
+            if let (Some((store, keys)), Ok(a)) = (&splice, &outcome.result) {
                 if outcome.cacheable {
-                    if let Ok(a) = &outcome.result {
-                        store.loop_put(
-                            keys[i],
-                            Arc::new(SplicedLoop::capture(info, a, &outcome.charges)),
-                        );
-                    }
+                    let rec = SplicedLoop::capture(info, a, &outcome.charges);
+                    store.loop_put(keys[i], Arc::new(rec));
                 }
             }
             for (pass, wall, ops) in outcome.charges {
                 report.charge(pass, wall, ops);
             }
             report.charge(PassId::Others, outcome.unbilled, 0);
-            // Canonical interner merge: absorbing worker forks in loop
-            // order reproduces the ids a sequential run hands out.
-            if let Some(wsym) = &outcome.sym {
-                sym.absorb(wsym);
-            }
             let analyzed = match outcome.result {
                 Ok(a) => a,
                 Err(reason) => {
-                    // A contained panic produces BOTH ledger entries: a
-                    // skip record carrying the diagnosis, and a serial
-                    // `Complexity` loop report so the Figure 5
-                    // accounting still covers the loop.
                     let internal = matches!(reason, SkipReason::InternalError { .. });
                     if matches!(reason, SkipReason::DeadlineExpired) {
                         report.deadline_expired = true;
@@ -546,22 +532,21 @@ impl Compiler {
                         target: info.target.clone(),
                         reason,
                     });
-                    if internal {
-                        loops_out.push(LoopReport {
-                            unit: info.id.unit.clone(),
-                            stmt: info.id.stmt,
-                            var: info.var.clone(),
-                            depth: info.depth,
-                            target: info.target.clone(),
-                            classification: Classification::Complexity,
-                            parallelized: false,
-                            speculative: false,
-                            pairs_tested: 0,
-                            ops_spent: 0,
-                            budget_tripped: false,
-                        });
+                    if !internal {
+                        continue;
                     }
-                    continue;
+                    // A contained panic produces BOTH ledger entries:
+                    // the skip record carrying the diagnosis, and a
+                    // serial `Complexity` loop report so the Figure 5
+                    // accounting still covers the loop.
+                    AnalyzedLoop {
+                        var: info.var.clone(),
+                        classification: Classification::Complexity,
+                        candidate: None,
+                        pairs_tested: 0,
+                        ops_spent: 0,
+                        budget_tripped: false,
+                    }
                 }
             };
 
@@ -626,8 +611,7 @@ impl Compiler {
         // Parallelizable loops that went unannotated because an
         // ancestor absorbed them are not "serial" — they run inside the
         // ancestor's parallel region — so they get no comment.
-        let mut reasons: std::collections::HashMap<StmtId, String> =
-            std::collections::HashMap::new();
+        let mut reasons: HashMap<StmtId, String> = HashMap::new();
         for l in &result.loops {
             if l.classification != Classification::Autoparallelized && !l.parallelized {
                 reasons.insert(l.stmt, l.classification.label().to_string());
@@ -743,33 +727,6 @@ impl LoopCtx<'_> {
     }
 }
 
-/// A deadline trip inside per-loop analysis. Like the panic path, the
-/// partial charges and interner fork are dropped: a cancelled loop
-/// contributes nothing to the merge.
-fn deadline_outcome() -> LoopOutcome {
-    LoopOutcome {
-        charges: Vec::new(),
-        unbilled: Duration::ZERO,
-        sym: None,
-        cacheable: false,
-        result: Err(SkipReason::DeadlineExpired),
-    }
-}
-
-/// What a worker learned about one analyzable loop.
-struct AnalyzedLoop {
-    var: String,
-    classification: Classification,
-    /// Directive to apply if the merge pass finds no parallel ancestor
-    /// (parallel or speculative candidates only).
-    candidate: Option<LoopDirective>,
-    pairs_tested: usize,
-    ops_spent: u64,
-    /// True when a budget trip (watchdog or dependence test) decided
-    /// the classification.
-    budget_tripped: bool,
-}
-
 /// One loop's complete analysis output. Produced independently per
 /// loop; the driver merges outcomes in loop order.
 struct LoopOutcome {
@@ -777,12 +734,10 @@ struct LoopOutcome {
     charges: Vec<(PassId, Duration, u64)>,
     /// Wall this loop's analysis took beyond what `charges` bills to a
     /// pass: the facts lookup or build, the interner fork, the ranges
-    /// re-run, locating and cloning the body. It carries no ops, so it
-    /// is kept out of `charges` (and out of stored [`SplicedLoop`]s)
-    /// and billed to "others" at the merge.
+    /// re-run, locating the body. It carries no ops, so it is kept out
+    /// of `charges` (and out of stored [`SplicedLoop`]s) and billed to
+    /// "others" at the merge.
     unbilled: Duration,
-    /// The worker's interner fork (absorbed canonically at merge).
-    sym: Option<SymMap>,
     /// Safe to store under the loop's content key for later compiles
     /// to splice: the outcome is a pure function of what the key
     /// covers. False for anything coupled to whole-program state (a
@@ -793,245 +748,38 @@ struct LoopOutcome {
     result: Result<AnalyzedLoop, SkipReason>,
 }
 
-/// A stored per-loop analysis outcome: everything the merge pass needs
-/// to reproduce the loop's `LoopReport` and op charges bit-for-bit,
-/// plus a structural echo of the loop it was computed for, re-verified
-/// before every splice (`matches`). Wall time is not stored — a splice
-/// bills zero wall, which report signatures deliberately exclude.
-///
-/// Public (with private fields) so the service's persistent store can
-/// serialize records it finds in the shared store and re-admit parsed
-/// ones after a restart; [`SplicedLoop::from_json`] is the only way to
-/// construct one externally, and it validates every field, so a record
-/// recovered from disk is structurally as trustworthy as a live one —
-/// and still gets the same `matches` re-verification before any splice.
-pub struct SplicedLoop {
-    // Structural echo.
-    unit: String,
-    loop_var: String,
-    depth: usize,
-    target: Option<String>,
-    calls: Vec<String>,
-    // The analysis result (AnalyzedLoop fields).
-    var: String,
-    classification: Classification,
-    candidate: Option<LoopDirective>,
-    pairs_tested: usize,
-    ops_spent: u64,
-    budget_tripped: bool,
-    /// `(pass, ops)` of every charge, in recorded order.
-    charges: Vec<(PassId, u64)>,
-}
-
-impl SplicedLoop {
-    fn capture(info: &LoopInfo, a: &AnalyzedLoop, charges: &[(PassId, Duration, u64)]) -> Self {
-        SplicedLoop {
-            unit: info.id.unit.clone(),
-            loop_var: info.var.clone(),
-            depth: info.depth,
-            target: info.target.clone(),
-            calls: info.calls.clone(),
-            var: a.var.clone(),
-            classification: a.classification,
-            candidate: a.candidate.clone(),
-            pairs_tested: a.pairs_tested,
-            ops_spent: a.ops_spent,
-            budget_tripped: a.budget_tripped,
-            charges: charges.iter().map(|&(p, _, ops)| (p, ops)).collect(),
-        }
+impl LoopOutcome {
+    /// The loop was not analyzed and nothing is billed. A deadline
+    /// trip or a panic mid-analysis ends here too: the partial charges
+    /// are dropped, so a cancelled or panicked loop contributes nothing
+    /// to the merge — the only outcome reproducible at every thread
+    /// count.
+    fn skip(reason: SkipReason) -> Self {
+        Self::partial(Vec::new(), reason)
     }
 
-    /// Does this record's structural echo match the live loop? A
-    /// mismatch means the content key collided or the stored record is
-    /// stale — the splice is refused and the loop re-analyzed.
-    fn matches(&self, info: &LoopInfo) -> bool {
-        self.unit == info.id.unit
-            && self.loop_var == info.var
-            && self.depth == info.depth
-            && self.target == info.target
-            && self.calls == info.calls
-    }
-
-    /// Serializes the record for the persistent store. `None`-valued
-    /// options are omitted rather than rendered as `null` (the renderer
-    /// has no null); `from_json` treats absence as `None`.
-    pub fn to_json(&self) -> Json {
-        let strs = |xs: &[String]| Json::Arr(xs.iter().map(|s| Json::Str(s.clone())).collect());
-        let mut fields = vec![
-            ("unit", Json::Str(self.unit.clone())),
-            ("loop_var", Json::Str(self.loop_var.clone())),
-            ("depth", Json::Int(self.depth as i64)),
-            ("calls", strs(&self.calls)),
-            ("var", Json::Str(self.var.clone())),
-            ("class", Json::Str(format!("{:?}", self.classification))),
-            ("pairs_tested", Json::Int(self.pairs_tested as i64)),
-            ("ops_spent", Json::Str(self.ops_spent.to_string())),
-            ("budget_tripped", Json::Bool(self.budget_tripped)),
-            (
-                "charges",
-                Json::Arr(
-                    self.charges
-                        .iter()
-                        .map(|&(p, ops)| {
-                            Json::Arr(vec![
-                                Json::Str(format!("{:?}", p)),
-                                Json::Str(ops.to_string()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(t) = &self.target {
-            fields.push(("target", Json::Str(t.clone())));
-        }
-        if let Some(d) = &self.candidate {
-            let mut dir = vec![
-                ("private", strs(&d.private)),
-                (
-                    "reductions",
-                    Json::Arr(
-                        d.reductions
-                            .iter()
-                            .map(|(op, v)| {
-                                Json::Arr(vec![
-                                    Json::Str(format!("{:?}", op)),
-                                    Json::Str(v.clone()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("schedule", Json::Str(format!("{:?}", d.schedule))),
-                ("collapse", Json::Int(d.collapse as i64)),
-                ("speculative", Json::Bool(d.speculative)),
-            ];
-            if let Some(w) = &d.writes {
-                dir.push(("writes", strs(w)));
-            }
-            fields.push(("candidate", Json::Obj(dir)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Reconstructs a record from a parsed store payload. Total:
-    /// any missing field, wrong type, or unknown enum tag returns
-    /// `None` — a checksum-valid but semantically corrupt record is
-    /// refused here, before it can reach the shared store.
-    pub fn from_json(v: &JVal) -> Option<SplicedLoop> {
-        let strs = |v: &JVal| -> Option<Vec<String>> {
-            v.as_arr()?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string))
-                .collect()
-        };
-        let candidate = match v.get("candidate") {
-            None => None,
-            Some(d) => Some(LoopDirective {
-                private: strs(d.get("private")?)?,
-                reductions: d
-                    .get("reductions")?
-                    .as_arr()?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair.as_arr()?;
-                        let op = red_op_from_tag(pair.first()?.as_str()?)?;
-                        Some((op, pair.get(1)?.as_str()?.to_string()))
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-                schedule: match d.str_field("schedule")? {
-                    "Static" => Schedule::Static,
-                    "Cyclic" => Schedule::Cyclic,
-                    _ => return None,
-                },
-                collapse: u8::try_from(d.get("collapse")?.as_i64()?).ok()?,
-                speculative: d.get("speculative")?.as_bool()?,
-                writes: match d.get("writes") {
-                    None => None,
-                    Some(w) => Some(strs(w)?),
-                },
-            }),
-        };
-        Some(SplicedLoop {
-            unit: v.str_field("unit")?.to_string(),
-            loop_var: v.str_field("loop_var")?.to_string(),
-            depth: usize::try_from(v.get("depth")?.as_i64()?).ok()?,
-            target: v.str_field("target").map(str::to_string),
-            calls: strs(v.get("calls")?)?,
-            var: v.str_field("var")?.to_string(),
-            classification: classification_from_tag(v.str_field("class")?)?,
-            candidate,
-            pairs_tested: usize::try_from(v.get("pairs_tested")?.as_i64()?).ok()?,
-            ops_spent: v.u64_field("ops_spent")?,
-            budget_tripped: v.get("budget_tripped")?.as_bool()?,
-            charges: v
-                .get("charges")?
-                .as_arr()?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr()?;
-                    let p = pass_from_tag(pair.first()?.as_str()?)?;
-                    Some((p, pair.get(1)?.as_u64()?))
-                })
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
-
-    fn to_outcome(&self) -> LoopOutcome {
+    /// Analysis stopped at `reason`; the passes that completed stay
+    /// billed.
+    fn partial(charges: Vec<(PassId, Duration, u64)>, reason: SkipReason) -> Self {
         LoopOutcome {
-            charges: self
-                .charges
-                .iter()
-                .map(|&(p, ops)| (p, Duration::ZERO, ops))
-                .collect(),
+            charges,
             unbilled: Duration::ZERO,
-            // No interner fork: the merge's absorb step only
-            // reproduces sequential interner state, which nothing
-            // downstream of the merge reads.
-            sym: None,
-            cacheable: false, // already stored; never re-published
-            result: Ok(AnalyzedLoop {
-                var: self.var.clone(),
-                classification: self.classification,
-                candidate: self.candidate.clone(),
-                pairs_tested: self.pairs_tested,
-                ops_spent: self.ops_spent,
-                budget_tripped: self.budget_tripped,
-            }),
+            cacheable: false,
+            result: Err(reason),
         }
     }
-}
 
-/// Inverse of the `Debug` tags `SplicedLoop::to_json` writes. Kept as
-/// explicit matches so adding an enum variant without extending the
-/// store format is a compile-time-visible decision, not silent skew.
-fn classification_from_tag(s: &str) -> Option<Classification> {
-    Some(match s {
-        "Autoparallelized" => Classification::Autoparallelized,
-        "Aliasing" => Classification::Aliasing,
-        "Rangeless" => Classification::Rangeless,
-        "Indirection" => Classification::Indirection,
-        "SymbolAnalysis" => Classification::SymbolAnalysis,
-        "AccessRepresentation" => Classification::AccessRepresentation,
-        "Complexity" => Classification::Complexity,
-        "RealDependence" => Classification::RealDependence,
-        "Control" => Classification::Control,
-        _ => return None,
-    })
-}
-
-fn pass_from_tag(s: &str) -> Option<PassId> {
-    PassId::ALL.into_iter().find(|p| format!("{:?}", p) == s)
-}
-
-fn red_op_from_tag(s: &str) -> Option<RedOp> {
-    Some(match s {
-        "Add" => RedOp::Add,
-        "Mul" => RedOp::Mul,
-        "Min" => RedOp::Min,
-        "Max" => RedOp::Max,
-        _ => return None,
-    })
+    /// A stored record, replayed: already stored, so never published
+    /// again.
+    fn spliced(rec: &SplicedLoop) -> Self {
+        let (charges, analyzed) = rec.replay();
+        LoopOutcome {
+            charges,
+            unbilled: Duration::ZERO,
+            cacheable: false,
+            result: Ok(analyzed),
+        }
+    }
 }
 
 /// Analyzes one loop against the pristine resolved program. Pure with
@@ -1048,25 +796,13 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
     let rp = ctx.rp;
     let unit_name = info.id.unit.as_str();
     if ctx.expired() {
-        return deadline_outcome();
+        return LoopOutcome::skip(SkipReason::DeadlineExpired);
     }
     let Some(unit) = rp.unit(unit_name) else {
-        return LoopOutcome {
-            charges: Vec::new(),
-            unbilled: Duration::ZERO,
-            sym: None,
-            cacheable: false,
-            result: Err(SkipReason::UnitMissing),
-        };
+        return LoopOutcome::skip(SkipReason::UnitMissing);
     };
     if unit.lang == apar_minifort::Lang::C && !caps.multilingual {
-        return LoopOutcome {
-            charges: Vec::new(),
-            unbilled: Duration::ZERO,
-            sym: None,
-            cacheable: false,
-            result: Err(SkipReason::ForeignLanguage),
-        };
+        return LoopOutcome::skip(SkipReason::ForeignLanguage);
     }
 
     let pass = Cell::new(PassId::Others);
@@ -1079,18 +815,12 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
             outcome.unbilled = wall.saturating_sub(billed);
             outcome
         }
-        // The partial charges and interner fork die with the sandbox: a
-        // panicked loop contributes nothing to the merge, which is the
-        // only outcome reproducible at every thread count.
         Err(payload) => LoopOutcome {
-            charges: Vec::new(),
             unbilled: wall,
-            sym: None,
-            cacheable: false,
-            result: Err(SkipReason::InternalError {
+            ..LoopOutcome::skip(SkipReason::InternalError {
                 pass: pass.get(),
                 message: panic_message(payload.as_ref()),
-            }),
+            })
         },
     }
 }
@@ -1125,14 +855,12 @@ fn enter_pass(ctx: &LoopCtx<'_>, info: &LoopInfo, p: PassId, pass: &Cell<PassId>
 fn complexity_outcome(
     info: &LoopInfo,
     charges: Vec<(PassId, Duration, u64)>,
-    sym: Option<SymMap>,
     ops_spent: u64,
     cacheable: bool,
 ) -> LoopOutcome {
     LoopOutcome {
         charges,
         unbilled: Duration::ZERO,
-        sym,
         cacheable,
         result: Ok(AnalyzedLoop {
             var: info.var.clone(),
@@ -1191,10 +919,10 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     if has_calls {
         charges.push((PassId::InlineExpansion, inline_time, spliced * 4));
         if ctx.expired() {
-            return deadline_outcome();
+            return LoopOutcome::skip(SkipReason::DeadlineExpired);
         }
         if loop_ops.exceeded() {
-            return complexity_outcome(info, charges, None, loop_ops.spent(), true);
+            return complexity_outcome(info, charges, loop_ops.spent(), true);
         }
     }
     let arp_ref: &ResolvedProgram = arp.as_ref().unwrap_or(rp);
@@ -1218,10 +946,10 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     // that outcome is content-coupled to the whole program, so it is
     // never stored under the loop's content key.
     if ctx.expired() {
-        return deadline_outcome();
+        return LoopOutcome::skip(SkipReason::DeadlineExpired);
     }
     if facts.budget_tripped {
-        return complexity_outcome(info, charges, Some(sym), loop_ops.spent(), false);
+        return complexity_outcome(info, charges, loop_ops.spent(), false);
     }
 
     // Ranges for the analyzed program (recomputed for the unit when
@@ -1247,43 +975,39 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
             .unwrap_or_default()
     };
     if ctx.expired() {
-        return deadline_outcome();
+        return LoopOutcome::skip(SkipReason::DeadlineExpired);
     }
     if loop_ops.exceeded() {
-        return complexity_outcome(info, charges, Some(sym), loop_ops.spent(), true);
+        return complexity_outcome(info, charges, loop_ops.spent(), true);
     }
 
     // Locate the loop body in the analyzed program.
     let Some(aunit) = arp_ref.unit(unit_name) else {
-        return LoopOutcome {
-            charges,
-            unbilled: Duration::ZERO,
-            sym: Some(sym),
-            cacheable: false,
-            result: Err(SkipReason::InlinedAway),
-        };
+        return LoopOutcome::partial(charges, SkipReason::InlinedAway);
     };
-    let Some((var, lo, hi, step, body)) = find_do(aunit, info.id.stmt) else {
-        return LoopOutcome {
-            charges,
-            unbilled: Duration::ZERO,
-            sym: Some(sym),
-            cacheable: false,
-            result: Err(SkipReason::HeaderMissing),
-        };
+    let Some(StmtKind::Do {
+        var,
+        lo,
+        hi,
+        step,
+        body,
+        ..
+    }) = find_loop(aunit, info.id.stmt).map(|s| &s.kind)
+    else {
+        return LoopOutcome::partial(charges, SkipReason::HeaderMissing);
     };
 
     // Dependence test.
     enter_pass(ctx, info, PassId::DataDependence, pass);
     let t = Instant::now();
     let pre_dd = loop_ops.spent();
-    let la = access::collect(arp_ref, unit_name, &body, &mut sym, &state);
+    let la = access::collect(arp_ref, unit_name, body, &mut sym, &state);
     let input = DdInput {
         rp: arp_ref,
         unit: unit_name,
-        loop_var: &var,
-        lo: &lo,
-        hi: &hi,
+        loop_var: var,
+        lo,
+        hi,
         step: step.as_ref(),
         state: &state,
         la: &la,
@@ -1310,8 +1034,8 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
         arp_ref,
         aunit,
         info.id.stmt,
-        &body,
-        &var,
+        body,
+        var,
         &la,
         &state,
         &mut sym,
@@ -1331,18 +1055,15 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
         // A resolved program always carries a table per unit; a missing
         // one is a front-end invariant violation, contained to this
         // loop as a structured skip rather than an index panic.
-        return LoopOutcome {
+        return LoopOutcome::partial(
             charges,
-            unbilled: Duration::ZERO,
-            sym: Some(sym),
-            cacheable: false,
-            result: Err(SkipReason::InternalError {
+            SkipReason::InternalError {
                 pass: PassId::Reduction,
                 message: format!("symbol table missing for unit {unit_name}"),
-            }),
-        };
+            },
+        );
     };
-    let reds = reduction::find_reductions(&body, &|n| table.is_array(n));
+    let reds = reduction::find_reductions(body, &|n| table.is_array(n));
     charges.push((PassId::Reduction, t.elapsed(), la.accesses.len() as u64));
 
     // Decision.
@@ -1414,7 +1135,7 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
             // Conditional work makes per-iteration cost index-dependent;
             // a cyclic schedule then balances the workers better than
             // contiguous chunks.
-            schedule: if imbalanced_body(&body) {
+            schedule: if imbalanced_body(body) {
                 Schedule::Cyclic
             } else {
                 Schedule::Static
@@ -1431,10 +1152,9 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
     LoopOutcome {
         charges,
         unbilled: Duration::ZERO,
-        sym: Some(sym),
         cacheable: true,
         result: Ok(AnalyzedLoop {
-            var,
+            var: var.clone(),
             classification,
             candidate,
             pairs_tested: dd.pairs_tested,
@@ -1442,42 +1162,6 @@ fn analyze_loop_inner(ctx: &LoopCtx<'_>, info: &LoopInfo, pass: &Cell<PassId>) -
             budget_tripped: dd.budget_exceeded,
         }),
     }
-}
-
-/// Finds a DO loop by id and clones its header and body.
-fn find_do(
-    unit: &apar_minifort::Unit,
-    id: StmtId,
-) -> Option<(
-    String,
-    apar_minifort::ast::Expr,
-    apar_minifort::ast::Expr,
-    Option<apar_minifort::ast::Expr>,
-    Block,
-)> {
-    let mut found = None;
-    unit.body.walk_stmts(&mut |s| {
-        if s.id == id && found.is_none() {
-            if let StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                ..
-            } = &s.kind
-            {
-                found = Some((
-                    var.clone(),
-                    lo.clone(),
-                    hi.clone(),
-                    step.clone(),
-                    body.clone(),
-                ));
-            }
-        }
-    });
-    found
 }
 
 /// `COLLAPSE(n)` value for the loop `id`: the length of the perfect
@@ -1504,11 +1188,7 @@ fn collapse_depth(u: &apar_minifort::Unit, id: StmtId, auto_ok: &HashSet<StmtId>
     depth
 }
 
-fn has_parallel_ancestor(
-    forest: &LoopForest,
-    info: &apar_analysis::loops::LoopInfo,
-    parallel: &HashSet<StmtId>,
-) -> bool {
+fn has_parallel_ancestor(forest: &LoopForest, info: &LoopInfo, parallel: &HashSet<StmtId>) -> bool {
     let mut cur = info.parent;
     while let Some(p) = cur {
         if parallel.contains(&p) {
@@ -1660,6 +1340,29 @@ mod tests {
             Classification::Autoparallelized,
             "induction substitution should enable parallelization"
         );
+    }
+
+    #[test]
+    fn prelude_resolves_only_the_units_it_substituted_into() {
+        // Only MID has an induction variable. LAST applies SQRT, the
+        // kind of name a second resolution used to drop from its table.
+        let src = "PROGRAM P\nREAL A(200)\nCALL MID(A)\nCALL LAST(A)\nEND\n\
+                   SUBROUTINE MID(X)\nREAL X(200)\nK = 0\nDO I = 1, 100\nK = K + 2\nX(K) = 1.0\nENDDO\nEND\n\
+                   SUBROUTINE LAST(X)\nREAL X(200)\nDO I = 1, 100\nX(I) = SQRT(X(I))\nENDDO\nEND\n";
+        let first = resolve(parse_program(src).expect("parse")).expect("resolve");
+        let tables = first.tables.clone();
+        let r = Compiler::new(CompilerProfile::polaris2008())
+            .drive("test", first, Duration::ZERO)
+            .expect("compile");
+        for unit in ["P", "LAST"] {
+            assert!(
+                Arc::ptr_eq(&r.rp.tables[unit], &tables[unit]),
+                "{unit} was resolved again"
+            );
+        }
+        assert!(!Arc::ptr_eq(&r.rp.tables["MID"], &tables["MID"]));
+        assert!(tables["MID"].get("KZSV1").is_none());
+        assert!(r.rp.table("MID").get("KZSV1").is_some());
     }
 
     #[test]

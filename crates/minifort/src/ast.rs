@@ -187,6 +187,11 @@ pub enum RedOp {
     Max,
 }
 
+impl RedOp {
+    /// Every operator.
+    pub const ALL: [RedOp; 4] = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max];
+}
+
 impl fmt::Display for RedOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -208,6 +213,11 @@ pub enum Schedule {
     /// Round-robin: worker `w` of `n` runs iterations `w, w+n, ...` —
     /// balances loops whose per-iteration cost varies with the index.
     Cyclic,
+}
+
+impl Schedule {
+    /// Every schedule.
+    pub const ALL: [Schedule; 2] = [Schedule::Static, Schedule::Cyclic];
 }
 
 impl fmt::Display for Schedule {

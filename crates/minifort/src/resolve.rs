@@ -14,6 +14,13 @@
 //!    hindrance (§2.3).
 //! 4. Ambiguous `Expr::Sub` nodes are rewritten to [`Expr::Index`] or
 //!    [`Expr::CallF`].
+//!
+//! Resolution is idempotent: a rewritten `CallF` is read exactly like
+//! the `Sub` it came from, so `resolve(resolve(p).program)` has the
+//! printed program, the tables and the COMMON extents of `resolve(p)`.
+//! A unit therefore has one table whatever path it took, which is what
+//! lets [`ResolvedProgram::reresolve`] resolve only the units a
+//! transform rewrote.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -44,7 +51,7 @@ pub fn is_intrinsic(name: &str) -> bool {
 /// Units and tables are reference-counted: a clone shares them, and
 /// [`ResolvedProgram::reresolve`] hands an edited program the tables of
 /// every unit the edit left alone.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ResolvedProgram {
     pub program: Program,
     pub tables: HashMap<String, Arc<SymbolTable>>,
@@ -111,14 +118,9 @@ impl ResolvedProgram {
     /// and `common_sizes` is recomputed over the units that remain.
     ///
     /// The result equals [`resolve`] of a deep copy of `edited`: units
-    /// resolve independently of each other, and a shared unit is a
-    /// tree `resolve` has already rewritten, for which resolving again
-    /// is a fixpoint — provided `self` was itself resolved from such a
-    /// tree. (The *first* resolution of parser output is not one: it
-    /// records the function names it disambiguates from `NAME(args)`,
-    /// which a later resolution of the rewritten tree no longer sees.
-    /// The compiler driver's base program has been through `resolve`
-    /// twice by the time loops are analyzed.)
+    /// resolve independently of each other, and resolution is
+    /// idempotent, so the table a shared unit already has is the one
+    /// resolving it again would build.
     pub fn reresolve(&self, mut edited: Program) -> Result<ResolvedProgram, ResolveError> {
         let mut res = Resolution::default();
         for unit in &mut edited.units {
@@ -333,8 +335,13 @@ fn resolve_unit(unit: &mut Unit) -> Result<SymbolTable, ResolveError> {
     }
 
     // ---- 4. Names discovered in the body ------------------------------
+    // `applied` holds every name applied to arguments: `NAME(args)` as
+    // the parser left it, or the `CallF` an earlier resolution already
+    // made of it. Both count, so resolving a resolved unit again builds
+    // the same table.
     let mut called: HashSet<String> = HashSet::new();
     let mut used_names: Vec<String> = Vec::new();
+    let mut applied: HashSet<String> = HashSet::new();
     unit.body.walk_stmts(&mut |s| {
         if let StmtKind::Call { name, .. } = &s.kind {
             called.insert(name.clone());
@@ -342,34 +349,24 @@ fn resolve_unit(unit: &mut Unit) -> Result<SymbolTable, ResolveError> {
         if let StmtKind::Do { var, .. } = &s.kind {
             used_names.push(var.clone());
         }
-        for_each_expr(s, &mut |e| {
-            if let Expr::Name(n) | Expr::Sub { name: n, .. } = e {
-                used_names.push(n.clone());
-            }
-        });
-    });
-    for name in &used_names {
-        if table.get(name).is_none() && !called.contains(name) {
-            // `NAME(args)` on an undeclared name is a call (function or
-            // intrinsic); a bare undeclared name is an implicit scalar.
-            // Decide below during the rewrite; here seed scalars only for
-            // bare uses. Sub uses of undeclared names become calls.
-            declare_data_symbol(&mut table, name);
-        }
-    }
-    // But a name used ONLY as `NAME(args)` where NAME is not an array
-    // must be a routine, not a scalar: fix those up.
-    let mut sub_only: HashMap<String, (bool, bool)> = HashMap::new(); // name -> (has_sub_use, has_bare_use)
-    unit.body.walk_stmts(&mut |s| {
         for_each_expr(s, &mut |e| match e {
-            Expr::Sub { name, .. } => sub_only.entry(name.clone()).or_default().0 = true,
-            Expr::Name(n) => sub_only.entry(n.clone()).or_default().1 = true,
+            Expr::Name(n) => used_names.push(n.clone()),
+            Expr::Sub { name, .. } | Expr::CallF { name, .. } => {
+                applied.insert(name.clone());
+            }
             _ => {}
         });
     });
-    for (name, (has_sub, _has_bare)) in &sub_only {
-        if *has_sub && !table.is_array(name) && !params.contains_key(name) {
-            // Function/intrinsic call.
+    // A bare undeclared name is an implicit scalar.
+    for name in &used_names {
+        if table.get(name).is_none() && !called.contains(name) {
+            declare_data_symbol(&mut table, name);
+        }
+    }
+    // An applied name that is neither an array nor a PARAMETER is a
+    // function or intrinsic call: a routine, whatever else declared it.
+    for name in &applied {
+        if !table.is_array(name) && !params.contains_key(name) {
             table.insert(Symbol {
                 name: name.clone(),
                 ty: ty_of(name),
@@ -1069,12 +1066,10 @@ mod tests {
     #[test]
     fn reresolve_resolves_only_what_was_copied() {
         let src = "PROGRAM P\nREAL A(10)\nCOMMON /B/ A\nX = F(1)\nY = 2.0\nEND\nSUBROUTINE S\nREAL Z(50)\nCOMMON /B/ Z\nEND\n";
-        let once = front(src);
-        let base = resolve(once.program.clone()).expect("second resolution");
-        // The precondition in `reresolve`'s contract: only the first
-        // resolution sees `F(1)` as `NAME(args)` and lists F.
-        assert!(once.table("P").get("F").is_some());
-        assert!(base.table("P").get("F").is_none());
+        let base = front(src);
+        // F is listed however often P is resolved.
+        assert!(base.table("P").get("F").is_some());
+        assert_same(&base, &resolve(base.program.clone()).expect("again"));
 
         let mut edit = base.program.clone();
         edit.unit_mut("P").expect("P").body.stmts.pop();
@@ -1097,7 +1092,7 @@ mod tests {
         // resolved again rather than handed the wrong one: /B/ keeps the
         // extent only the first S declares.
         let src = "PROGRAM P\nEND\nSUBROUTINE S\nREAL Z(50)\nCOMMON /B/ Z\nEND\nSUBROUTINE S\nREAL Z(5)\nCOMMON /B/ Z\nEND\n";
-        let base = resolve(front(src).program).expect("second resolution");
+        let base = front(src);
         assert_eq!(base.common_sizes["B"], 50);
         let again = base.reresolve(base.program.clone()).expect("reresolve");
         assert_same(&again, &resolve(deep_copy(&base.program)).expect("resolve"));

@@ -89,18 +89,6 @@ impl Interner {
         self.names.len() <= other.names.len()
             && self.names.iter().zip(&other.names).all(|(a, b)| a == b)
     }
-
-    /// Canonically merges a forked interner back into this one: every
-    /// name of `other` is interned here, in `other`'s id order. Ids
-    /// already present keep their value; new names get fresh ids in a
-    /// deterministic order, so absorbing the same forks in the same
-    /// sequence always yields the same table regardless of how the
-    /// forks were produced (e.g. which worker thread ran them).
-    pub fn absorb(&mut self, other: &Interner) {
-        for name in &other.names {
-            self.intern(name);
-        }
-    }
 }
 
 impl fmt::Debug for Interner {
@@ -133,39 +121,6 @@ mod tests {
         assert!(i.get("X").is_none());
         let x = i.intern("X");
         assert_eq!(i.get("X"), Some(x));
-    }
-
-    #[test]
-    fn absorb_is_canonical() {
-        let mut base = Interner::new();
-        base.intern("A");
-        base.intern("B");
-        // Two forks intern different (overlapping) names.
-        let mut f1 = base.clone();
-        f1.intern("C");
-        f1.intern("D");
-        let mut f2 = base.clone();
-        f2.intern("D");
-        f2.intern("E");
-        assert!(base.is_prefix_of(&f1));
-        assert!(base.is_prefix_of(&f2));
-        // Absorbing in a fixed order is deterministic regardless of
-        // which fork interned what.
-        let mut m1 = base.clone();
-        m1.absorb(&f1);
-        m1.absorb(&f2);
-        let mut m2 = base.clone();
-        m2.absorb(&f1);
-        m2.absorb(&f2);
-        assert_eq!(
-            m1.iter().map(|(i, n)| (i, n.to_string())).collect::<Vec<_>>(),
-            m2.iter().map(|(i, n)| (i, n.to_string())).collect::<Vec<_>>()
-        );
-        // Shared ids keep their values; all names present.
-        assert_eq!(m1.get("A"), Some(base.get("A").unwrap()));
-        for n in ["A", "B", "C", "D", "E"] {
-            assert!(m1.get(n).is_some(), "{} missing after merge", n);
-        }
     }
 
     #[test]

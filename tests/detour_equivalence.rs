@@ -13,7 +13,11 @@
 //!
 //! Checked on every call-bearing loop of the eight suites and of fifty
 //! generated programs, against the base program the driver really uses
-//! (resolved, induction-substituted, resolved again).
+//! (resolved, induction-substituted, substituted units resolved again).
+//!
+//! Both rest on one property of the resolver, checked first: resolving
+//! a resolved program changes nothing, so a unit has one table however
+//! often — and along whichever path — it was resolved.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,20 +30,25 @@ use apar_analysis::symx::SymMap;
 use apar_analysis::{alias::AliasInfo, induction, inline};
 use apar_core::CompilerProfile;
 use apar_minicheck::fortgen::{gen_program, GenConfig};
+use apar_minicheck::mutate::mutate;
 use apar_minifort::pretty::print_program;
-use apar_minifort::{frontend, resolve, Program, ResolvedProgram, Unit};
+use apar_minifort::{frontend, frontend_recovering, resolve, Program, ResolvedProgram, Unit};
 use apar_symbolic::OpCounter;
 
-/// The driver's base program: front end, induction prelude, resolve.
+/// The driver's base program: front end, then the induction prelude on
+/// a clone, of which `reresolve` resolves the units the pass rewrote.
 fn driver_base(src: &str) -> Option<ResolvedProgram> {
     let rp = frontend(src).ok()?;
     let mut prog = rp.program.clone();
-    let mut next_id = prog.stmt_count;
-    for u in prog.units_mut() {
-        induction::run_on_unit(u, &rp.tables[&u.name], &mut next_id);
+    for slot in &mut prog.units {
+        let mut copy = Unit::clone(slot);
+        let table = &rp.tables[&copy.name];
+        let r = induction::run_on_unit(&mut copy, table, &mut prog.stmt_count);
+        if !r.substituted.is_empty() {
+            *slot = Arc::new(copy);
+        }
     }
-    prog.stmt_count = next_id;
-    resolve(prog).ok()
+    rp.reresolve(prog).ok()
 }
 
 /// True when `unit` is one of `rp`'s own allocations, not merely equal.
@@ -174,6 +183,42 @@ fn check_program(label: &str, src: &str) -> (usize, usize) {
         key_of_text.insert(text, key);
     }
     (loops, unchanged)
+}
+
+/// `resolve` of the already-resolved `rp` must reproduce it.
+fn assert_fixpoint(rp: &ResolvedProgram, what: &str) {
+    let again = resolve(rp.program.clone()).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_same_resolution(&again, rp, what);
+}
+
+#[test]
+fn resolve_is_idempotent() {
+    let suites = apar_workloads::all_suites();
+    let mut units = 0;
+    for w in &suites {
+        let rp = frontend(&w.source).expect("suite resolves");
+        units += rp.program.units.len();
+        assert_fixpoint(&rp, &w.name);
+    }
+    assert!(units >= 77, "only {units} suite units");
+
+    let mut rng = apar_minicheck::Rng::new(0x1de0_707e);
+    for i in 0..200 {
+        let src = gen_program(&mut rng, &GenConfig::default());
+        let rp = frontend(&src).unwrap_or_else(|e| panic!("generated {i}: {e}\n{src}"));
+        assert_fixpoint(&rp, &format!("generated {i}"));
+    }
+    // What the recovering front end keeps of a mutilated suite.
+    let (mut survivors, mut dropped) = (0, 0);
+    for i in 0..200 {
+        let w = &suites[i % suites.len()];
+        let (rp, _, gone) = frontend_recovering(&mutate(&mut rng, &w.source, 3));
+        survivors += rp.program.units.len();
+        dropped += gone.len();
+        assert_fixpoint(&rp, &format!("mutant {i} of {}", w.name));
+    }
+    eprintln!("{units} suite units; mutants: {survivors} units kept, {dropped} dropped");
+    assert!(survivors > 0, "no mutant unit survived: the recovering side is untested");
 }
 
 #[test]

@@ -66,7 +66,6 @@
 //! program, which any one-line edit changes, and byte-identical text is
 //! already a loop-key match.
 
-use std::any::Any;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -150,26 +149,24 @@ impl LoopStoreStats {
     }
 }
 
-/// A per-loop record. The payload is opaque to this crate (the driver
-/// stores its own record type); the store only provides keyed
-/// retention, the LRU bound and counters.
-pub type LoopRecord = Arc<dyn Any + Send + Sync>;
-
 /// The cross-compile store of per-loop analysis records, keyed by loop
 /// content keys and LRU-bounded by entries. Many compilations (of the
 /// same or different suites) attach one store; a loop whose content key
 /// is resident splices the stored outcome instead of re-analyzing. Keys
 /// cover everything a loop's analysis observes, so a splice can never
 /// change a report, only skip work.
+///
+/// The record type `R` is the driver's (this crate sits below it); the
+/// store only provides keyed retention, the LRU bound and counters.
 #[derive(Debug)]
-pub struct LoopRecordStore {
-    recs: SyncLru<LoopRecord>,
+pub struct LoopRecordStore<R> {
+    recs: SyncLru<Arc<R>>,
     loop_hits: AtomicU64,
     loop_misses: AtomicU64,
     loop_refusals: AtomicU64,
 }
 
-impl LoopRecordStore {
+impl<R> LoopRecordStore<R> {
     /// A store bounded to `cap` resident loop records.
     pub fn bounded(cap: usize) -> Self {
         LoopRecordStore {
@@ -186,7 +183,7 @@ impl LoopRecordStore {
     /// and then report the verdict via [`LoopRecordStore::note_loop_hit`]
     /// (spliced) or [`LoopRecordStore::note_loop_refusal`] (discarded) —
     /// a raw retrieval is not yet a hit.
-    pub fn loop_get(&self, key: u64) -> Option<LoopRecord> {
+    pub fn loop_get(&self, key: u64) -> Option<Arc<R>> {
         let rec = self.recs.lock().get(key).map(|r| Arc::clone(r));
         if rec.is_none() {
             self.loop_misses.fetch_add(1, Ordering::Relaxed);
@@ -209,13 +206,13 @@ impl LoopRecordStore {
 
     /// Retains a freshly analyzed loop's record under its content key,
     /// evicting least-recently-used records past the bound.
-    pub fn loop_put(&self, key: u64, rec: LoopRecord) {
+    pub fn loop_put(&self, key: u64, rec: Arc<R>) {
         self.recs.lock().insert(key, rec);
     }
 
     /// Snapshot of the resident `(content key, record)` pairs, for the
     /// durable store's append pass.
-    pub fn loop_snapshot(&self) -> Vec<(u64, LoopRecord)> {
+    pub fn loop_snapshot(&self) -> Vec<(u64, Arc<R>)> {
         let recs = self.recs.lock();
         recs.iter().map(|(k, r)| (k, Arc::clone(r))).collect()
     }
@@ -663,8 +660,7 @@ mod tests {
             store.loop_put(k, Arc::new(k));
         }
         assert!(store.loop_get(1).is_none(), "1 was evicted by 3");
-        let rec = store.loop_get(3).expect("resident");
-        assert_eq!(rec.downcast_ref::<u64>(), Some(&3));
+        assert_eq!(store.loop_get(3).as_deref(), Some(&3u64));
         store.note_loop_hit();
         store.note_loop_refusal();
         let s = store.stats();

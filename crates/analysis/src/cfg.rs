@@ -28,7 +28,6 @@ pub struct Cfg {
     pub entry: NodeIx,
     /// Virtual exit node index (== nodes.len(); no node stored).
     pub exit: NodeIx,
-    by_stmt: HashMap<StmtId, NodeIx>,
     /// True when the unit contains GOTO edges that escape structured
     /// regions (backward jumps or jumps into other nests).
     pub has_goto: bool,
@@ -56,24 +55,12 @@ impl Cfg {
                 None => b.nodes[node].succs.push(exit),
             }
         }
-        let by_stmt = b
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.stmt, i))
-            .collect();
         Cfg {
             entry: 0,
             exit,
             nodes: b.nodes,
-            by_stmt,
             has_goto,
         }
-    }
-
-    /// Node index of a statement.
-    pub fn node_of(&self, s: StmtId) -> Option<NodeIx> {
-        self.by_stmt.get(&s).copied()
     }
 
     /// Immediate dominators (entry's idom is itself). The virtual exit is

@@ -63,10 +63,7 @@ fn main() {
     }
     // The store phase has no source to minimize — its crashers are
     // cycle seeds, already printed by render above.
-    if store_report.escaped_panics > 0
-        || store_report.divergences > 0
-        || store_report.warm_hits == 0
-    {
+    if !store_report.ok() {
         failed = true;
     }
     if failed {

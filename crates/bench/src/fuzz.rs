@@ -32,14 +32,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use apar_core::pipeline::panic_message;
 use apar_core::{CancelToken, CompileResult, Compiler, CompilerProfile};
 use apar_minicheck::fortgen::{gen_op_bomb, gen_program, GenConfig};
 use apar_minicheck::mutate::mutate;
 use apar_minicheck::{Rng, BASE_SEED};
 use apar_runtime::{run as rt_run, ExecConfig, ExecMode};
 use apar_workloads as wl;
-
-use crate::compile_bench::report_signature;
 
 /// How one corpus case failed the contract.
 #[derive(Clone, Debug)]
@@ -116,18 +115,11 @@ pub fn check_source(src: &str, threads: usize) -> Result<(bool, usize), FailKind
         catch_unwind(AssertUnwindSafe(|| {
             c.compile_source_recovering("fuzz", src)
         }))
-        .map_err(|p| {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            FailKind::Panic(msg)
-        })
+        .map_err(|p| FailKind::Panic(panic_message(p.as_ref())))
     };
     let sr = compile(&serial)?;
     let pr = compile(&parallel)?;
-    if report_signature(&sr) != report_signature(&pr) {
+    if sr.report_signature() != pr.report_signature() {
         return Err(FailKind::Divergence);
     }
     // Cancellation determinism: a pre-expired token must degrade the
@@ -139,7 +131,7 @@ pub fn check_source(src: &str, threads: usize) -> Result<(bool, usize), FailKind
         .with_cancel(CancelToken::expired());
     let cs = compile(&cancelled_serial)?;
     let cp = compile(&cancelled_parallel)?;
-    if report_signature(&cs) != report_signature(&cp) {
+    if cs.report_signature() != cp.report_signature() {
         return Err(FailKind::Divergence);
     }
     if cs.report.loops > 0 && !cs.report.deadline_expired {
@@ -274,14 +266,8 @@ fn exec_config(mode: ExecMode, threads: usize) -> ExecConfig {
 /// checks the whole-pipeline contract. `Ok` carries
 /// (serial ran to completion, loops emitted parallel).
 pub fn check_emit_exec(src: &str) -> Result<(bool, usize), ExecFail> {
-    let panic_msg = |p: Box<dyn std::any::Any + Send>| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        ExecFail::Panic(msg)
-    };
+    let panic_msg =
+        |p: Box<dyn std::any::Any + Send>| ExecFail::Panic(panic_message(p.as_ref()));
     let compiler = Compiler::new(CompilerProfile::polaris2008());
     let emit = catch_unwind(AssertUnwindSafe(|| {
         let r = compiler.compile_source_recovering("fuzz", src);

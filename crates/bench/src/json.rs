@@ -5,7 +5,6 @@
 //! `ToJson` impls for bench-local row types.
 
 use crate::ablation::AblationRow;
-use crate::compile_bench::CompileBenchRow;
 use crate::exec_bench::{ExecBenchData, ExecBenchRow};
 use crate::fig1::{Fig1Data, Fig1Row};
 use crate::fig2::Fig2Row;
@@ -14,25 +13,6 @@ use crate::fig5::Fig5Row;
 use crate::spec::{DynamicRow, ReachRow, SpecReport};
 
 pub use apar_core::jsonio::{Json, ToJson};
-
-impl ToJson for CompileBenchRow {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("app", self.app.to_json()),
-            ("loops", self.loops.to_json()),
-            ("threads", self.threads.to_json()),
-            ("serial_s", self.serial_s.to_json()),
-            ("parallel_s", self.parallel_s.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("serial_ops", self.serial_ops.to_json()),
-            ("parallel_ops", self.parallel_ops.to_json()),
-            ("panicked_loops", self.panicked_loops.to_json()),
-            ("budget_tripped_loops", self.budget_tripped_loops.to_json()),
-            ("diag_units", self.diag_units.to_json()),
-            ("identical", self.identical.to_json()),
-        ])
-    }
-}
 
 impl ToJson for ExecBenchRow {
     fn to_json(&self) -> Json {

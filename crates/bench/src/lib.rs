@@ -1,24 +1,26 @@
-//! Figure and table harnesses.
+//! Figure and table harnesses, and the verdict harnesses.
 //!
-//! One module per experiment; each produces a serializable data struct,
-//! an ASCII rendering that mirrors the paper's figure, and is driven by
-//! both a standalone binary (`cargo run -p apar-bench --bin figN`) and a
-//! Criterion bench. `all_figures` writes the JSON artifacts that
-//! EXPERIMENTS.md records.
+//! One module per experiment; each produces a serializable data struct
+//! and an ASCII rendering that mirrors the paper's figure, and is driven
+//! by a standalone binary (`cargo run -p apar-bench --bin figN`).
+//! `all_figures` writes the JSON artifacts that EXPERIMENTS.md records.
+//!
+//! Nothing here times the compiler or the service on the wall clock:
+//! `perf/` is the repository's one benchmark. What lives here beside
+//! the figures judges, it does not measure — `exec_bench` (virtual
+//! time only), and the `fuzz`, `persist_bench::torture` and
+//! `resilience_bench::soak` contracts.
 
 pub mod ablation;
-pub mod compile_bench;
 pub mod exec_bench;
 pub mod fig1;
 pub mod fig2;
 pub mod fig4;
 pub mod fig5;
 pub mod fuzz;
-pub mod incr_bench;
 pub mod json;
 pub mod persist_bench;
 pub mod resilience_bench;
-pub mod service_bench;
 pub mod spec;
 
 use apar_runtime::DeckVal;

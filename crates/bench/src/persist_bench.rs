@@ -1,40 +1,31 @@
-//! Crash-torture benchmark for the durable cache store.
+//! Crash torture for the durable cache store ([`torture`]): seeded
+//! write → kill-at-random-offset → recover → recompile cycles. Each
+//! cycle clones a clean snapshot of the tier logs, damages one of them
+//! (truncation at a random offset simulating `kill -9` mid-append, a
+//! flipped bit, or a clobbered word), then recovers and recompiles at 1
+//! or 4 workers. Every few cycles the damage is injected at *write*
+//! time instead, through the store's seeded fault shim (short writes,
+//! failed flushes and renames, ENOSPC), and a forced-low compaction
+//! threshold keeps the rename path hot.
 //!
-//! Two phases, one artifact (`BENCH_persist.json`):
-//!
-//! * **Warm restart** — compile a corpus cold through a store, drop the
-//!   service (a clean shutdown), reopen the directory, and measure
-//!   recovery wall plus how much of the second batch answers from the
-//!   recovered result tier. Every recovered answer must be bit-identical
-//!   to a plain service-free compile.
-//! * **Crash torture** ([`torture`]) — seeded write → kill-at-random-
-//!   offset → recover → recompile cycles. Each cycle clones a clean
-//!   snapshot of the tier logs, damages one of them (truncation at a
-//!   random offset simulating `kill -9` mid-append, a flipped bit, or a
-//!   clobbered word), then recovers and recompiles at 1 or 4 workers.
-//!   Every few cycles the damage is injected at *write* time instead,
-//!   through the store's seeded fault shim (short writes, failed
-//!   flushes and renames, ENOSPC), and a forced-low compaction
-//!   threshold keeps the rename path hot.
-//!
-//! The gates CI holds: zero escaped panics, zero report divergences,
-//! and a nonzero warm-hit count — corruption must cost at most the
-//! damaged records, never correctness and never the process.
+//! The gates CI holds (the `fuzz_compile` binary's third phase): zero
+//! escaped panics, zero report divergences, and a nonzero warm-hit
+//! count — corruption must cost at most the damaged records, never
+//! correctness and never the process. What a clean restart costs on the
+//! wall clock is `perf/`'s `restart_recovery` and `durable_restart`.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
+use apar_core::pipeline::panic_message;
 use apar_core::{Compiler, CompilerProfile};
 use apar_minicheck::{Rng, BASE_SEED};
 use apar_service::{
     CompileService, PersistentStore, Served, ServiceConfig, StoreFaults, StoreStats, SuiteRequest,
     Tier,
 };
-
-use crate::json::{Json, ToJson};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -123,10 +114,10 @@ pub fn reference_signatures() -> Vec<String> {
         .collect()
 }
 
-/// The whole `BENCH_persist.json` payload.
+/// What a torture run observed.
 #[derive(Clone, Debug, Default)]
 pub struct PersistBenchData {
-    /// Torture cycles run (the warm-restart phase is extra).
+    /// Torture cycles run.
     pub cycles: usize,
     pub workers_checked: Vec<usize>,
     /// Panics that escaped recovery or a recovered-state compile. Gate:
@@ -138,24 +129,12 @@ pub struct PersistBenchData {
     /// Result-cache hits served from recovered state across all
     /// cycles. Gate: nonzero (recovery actually recovers).
     pub warm_hits: u64,
-    /// True when the clean warm-restart phase ran ([`measure`]); the
-    /// torture-only entry point ([`torture`]) leaves it false and its
-    /// gate disarmed.
-    pub warm_phase: bool,
-    /// Warm-restart phase: hits in the post-restart batch (3 = all).
-    pub restart_hits: u64,
     /// Totals across every recovery in the run.
     pub recovered_loops: u64,
     pub recovered_results: u64,
     pub recovery_refusals: u64,
     pub append_errors: u64,
     pub compactions: u64,
-    /// Warm-restart walls: cold batch, reopen+recover, warm batch.
-    pub cold_wall_s: f64,
-    pub recover_wall_s: f64,
-    pub warm_wall_s: f64,
-    /// On-disk bytes of the clean snapshot the torture clones.
-    pub snapshot_bytes: u64,
     /// First few failing cycles, described (empty on a green run).
     pub crashers: Vec<String>,
 }
@@ -163,10 +142,7 @@ pub struct PersistBenchData {
 impl PersistBenchData {
     /// The CI contract.
     pub fn ok(&self) -> bool {
-        self.escaped_panics == 0
-            && self.divergences == 0
-            && self.warm_hits > 0
-            && (!self.warm_phase || self.restart_hits > 0)
+        self.escaped_panics == 0 && self.divergences == 0 && self.warm_hits > 0
     }
 
     fn absorb_stats(&mut self, s: &StoreStats) {
@@ -181,39 +157,6 @@ impl PersistBenchData {
         if self.crashers.len() < 10 {
             self.crashers.push(desc);
         }
-    }
-}
-
-impl ToJson for PersistBenchData {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycles", self.cycles.to_json()),
-            ("workers_checked", self.workers_checked.to_json()),
-            ("escaped_panics", self.escaped_panics.to_json()),
-            ("divergences", self.divergences.to_json()),
-            ("warm_hits", (self.warm_hits as usize).to_json()),
-            ("restart_hits", (self.restart_hits as usize).to_json()),
-            ("recovered_loops", (self.recovered_loops as usize).to_json()),
-            (
-                "recovered_results",
-                (self.recovered_results as usize).to_json(),
-            ),
-            (
-                "recovery_refusals",
-                (self.recovery_refusals as usize).to_json(),
-            ),
-            ("append_errors", (self.append_errors as usize).to_json()),
-            ("compactions", (self.compactions as usize).to_json()),
-            ("cold_wall_s", self.cold_wall_s.to_json()),
-            ("recover_wall_s", self.recover_wall_s.to_json()),
-            ("warm_wall_s", self.warm_wall_s.to_json()),
-            ("snapshot_bytes", (self.snapshot_bytes as usize).to_json()),
-            (
-                "crashers",
-                Json::Arr(self.crashers.iter().map(|c| c.to_json()).collect()),
-            ),
-            ("ok", self.ok().to_json()),
-        ])
     }
 }
 
@@ -293,9 +236,8 @@ fn check_recovery(dir: &Path, workers: usize, refs: &[String]) -> CycleCheck {
 }
 
 /// The crash-torture loop: `cycles` seeded kill/recover/recompile
-/// rounds over clean-snapshot clones. Also the store-loader fuzzer the
-/// `fuzz_compile` binary drives — same corpus, same mutators, same
-/// zero-panic / bit-identity verdicts.
+/// rounds over clean-snapshot clones — the store-loader fuzzer the
+/// `fuzz_compile` binary drives as its third phase.
 pub fn torture(cycles: usize) -> PersistBenchData {
     let mut data = PersistBenchData {
         cycles,
@@ -306,7 +248,6 @@ pub fn torture(cycles: usize) -> PersistBenchData {
     let snap_dir = scratch("snapshot");
     let clean = seed_snapshot(&snap_dir);
     let _ = fs::remove_dir_all(&snap_dir);
-    data.snapshot_bytes = clean.iter().map(|b| b.len() as u64).sum();
     let refs = reference_signatures();
 
     // Caught panics from hostile bytes print backtraces by default;
@@ -373,11 +314,7 @@ pub fn torture(cycles: usize) -> PersistBenchData {
             }
             Err(p) => {
                 data.escaped_panics += 1;
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let msg = panic_message(p.as_ref());
                 data.note_crasher(format!("cycle {cycle}: panic: {msg}"));
             }
         }
@@ -387,64 +324,13 @@ pub fn torture(cycles: usize) -> PersistBenchData {
     data
 }
 
-/// Warm-restart measurement plus the full torture loop.
-pub fn measure(cycles: usize) -> PersistBenchData {
-    let dir = scratch("warm");
-    let refs = reference_signatures();
-
-    let svc = service(2).with_store(&dir);
-    let t0 = Instant::now();
-    let cold = svc.compile_many(&corpus());
-    let cold_wall_s = t0.elapsed().as_secs_f64();
-    drop(svc);
-
-    let t1 = Instant::now();
-    let svc = service(2).with_store(&dir);
-    let recover_wall_s = t1.elapsed().as_secs_f64();
-    let t2 = Instant::now();
-    let warm = svc.compile_many(&corpus());
-    let warm_wall_s = t2.elapsed().as_secs_f64();
-
-    let mut data = torture(cycles);
-    data.warm_phase = true;
-    data.cold_wall_s = cold_wall_s;
-    data.recover_wall_s = recover_wall_s;
-    data.warm_wall_s = warm_wall_s;
-    data.restart_hits = warm
-        .outcomes
-        .iter()
-        .filter(|o| o.served == Served::CacheHit)
-        .count() as u64;
-    data.absorb_stats(&svc.store_stats());
-    for batch in [&cold, &warm] {
-        if batch
-            .outcomes
-            .iter()
-            .zip(&refs)
-            .any(|(o, r)| &o.artifact.signature() != r)
-        {
-            data.divergences += 1;
-            data.note_crasher("warm-restart phase: report divergence".to_string());
-        }
-    }
-    drop(svc);
-    let _ = fs::remove_dir_all(&dir);
-    data
-}
-
-/// ASCII table mirroring the artifact.
+/// ASCII rendering of a torture run.
 pub fn render(d: &PersistBenchData) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "persistence bench: {} kill/recover cycles (workers {:?})\n",
         d.cycles, d.workers_checked
     ));
-    if d.warm_phase {
-        out.push_str(&format!(
-            "warm restart: cold {:.4}s  recover {:.4}s  warm {:.4}s  hits {}/3\n",
-            d.cold_wall_s, d.recover_wall_s, d.warm_wall_s, d.restart_hits
-        ));
-    }
     out.push_str(&format!(
         "torture: {} warm hits, recovered l/r {}/{}, {} refusals, \
          {} append errors, {} compactions\n",
@@ -473,11 +359,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_measure_recovers_without_panic_or_divergence() {
-        let d = measure(16);
+    fn smoke_torture_recovers_without_panic_or_divergence() {
+        let d = torture(16);
         assert_eq!(d.escaped_panics, 0, "{}", render(&d));
         assert_eq!(d.divergences, 0, "{}", render(&d));
-        assert_eq!(d.restart_hits, 3, "{}", render(&d));
         assert!(d.warm_hits > 0, "{}", render(&d));
         assert!(
             d.recovery_refusals > 0,

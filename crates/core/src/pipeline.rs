@@ -45,7 +45,7 @@ pub struct Compiler {
     /// store never changes any report: records are keyed by everything
     /// a loop's analysis observes, so a compile only ever splices an
     /// outcome it would have recomputed bit-for-bit.
-    pub loop_store: Option<Arc<LoopRecordStore>>,
+    pub loop_store: Option<Arc<LoopRecordStore<SplicedLoop>>>,
     /// Cooperative cancellation for this compile: checked at pass
     /// checkpoints (the watchdog's own trip sites). Expiry degrades the
     /// compile to a structured partial result — completed loops keep
@@ -184,7 +184,7 @@ impl Compiler {
     /// per-loop outcomes analyzed here become spliceable by later
     /// compiles sharing the store (and vice versa). Reports are
     /// bit-identical with or without it.
-    pub fn with_loop_store(mut self, store: Arc<LoopRecordStore>) -> Self {
+    pub fn with_loop_store(mut self, store: Arc<LoopRecordStore<SplicedLoop>>) -> Self {
         self.loop_store = Some(store);
         self
     }
@@ -397,7 +397,7 @@ impl Compiler {
         // that gets here is a full analysis.
         let store = self.loop_store.as_deref();
         let store = store.filter(|_| self.profile.fault.is_none());
-        let splice: Option<(&LoopRecordStore, Vec<u64>)> = store.map(|store| {
+        let splice: Option<(&LoopRecordStore<SplicedLoop>, Vec<u64>)> = store.map(|store| {
             let knobs = incr::Knobs {
                 loop_op_budget: self.profile.loop_op_budget,
                 inline_depth: self.profile.inline_depth,
@@ -446,12 +446,11 @@ impl Compiler {
                 let Some(rec) = store.loop_get(keys[i]) else {
                     continue;
                 };
-                match rec.downcast::<SplicedLoop>() {
-                    Ok(s) if s.matches(info) => {
-                        store.note_loop_hit();
-                        slots[i] = Some(LoopOutcome::spliced(&s));
-                    }
-                    _ => store.note_loop_refusal(),
+                if rec.matches(info) {
+                    store.note_loop_hit();
+                    slots[i] = Some(LoopOutcome::spliced(&rec));
+                } else {
+                    store.note_loop_refusal();
                 }
             }
         }
@@ -826,7 +825,7 @@ fn analyze_loop(ctx: &LoopCtx<'_>, info: &LoopInfo) -> LoopOutcome {
 }
 
 /// Best-effort text from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -232,12 +232,6 @@ impl CompileReport {
             .collect()
     }
 
-    /// Skipped loops that carried a `!$TARGET` marker (loops Figure 5
-    /// would otherwise lose from its denominator).
-    pub fn skipped_targets(&self) -> impl Iterator<Item = &SkippedLoop> {
-        self.skipped.iter().filter(|s| s.target.is_some())
-    }
-
     /// Histogram of skip reasons, in first-seen order.
     pub fn skip_histogram(&self) -> Vec<(SkipReason, usize)> {
         let mut counts: Vec<(SkipReason, usize)> = Vec::new();

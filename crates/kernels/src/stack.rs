@@ -26,11 +26,6 @@ pub fn stack(p: &SeisParams, otra: &[f64], strategy: Strategy) -> Vec<f64> {
     ra
 }
 
-/// In-place trace reversal (the RESEQ utility's permutation).
-pub fn reverse_trace(trace: &mut [f64]) {
-    trace.reverse();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

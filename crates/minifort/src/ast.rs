@@ -335,11 +335,6 @@ impl BinOp {
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
         )
     }
-
-    /// True for `.AND.` / `.OR.`.
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
 }
 
 /// Unary operators.

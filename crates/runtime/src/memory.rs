@@ -105,10 +105,6 @@ impl Arena {
         self.commons_len + tid * self.seg_len
     }
 
-    pub fn segment_len(&self) -> usize {
-        self.seg_len
-    }
-
     pub fn total_len(&self) -> usize {
         self.cells.len()
     }

@@ -239,10 +239,6 @@ impl RProgram {
             common_data,
         })
     }
-
-    pub fn unit_id(&self, name: &str) -> Option<UnitId> {
-        self.units.iter().position(|u| u.name == name)
-    }
 }
 
 struct Lowerer<'a> {

@@ -51,9 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use apar_analysis::cache::{DetourStats, LoopRecord};
+use apar_analysis::cache::DetourStats;
 use apar_analysis::{LoopRecordStore, LoopStoreStats, SyncLru};
 use apar_core::jsonio::Json;
+use apar_core::pipeline::panic_message;
 use apar_core::{
     fan_out, CancelToken, CompileResult, Compiler, CompilerProfile, DegradeTier, EmitResult,
     SplicedLoop,
@@ -456,7 +457,7 @@ pub struct CompileService {
     /// emission mode refuses the record (`refused_identity`) instead of
     /// replaying a compile that could not match.
     profile_id: u64,
-    loops: Arc<LoopRecordStore>,
+    loops: Arc<LoopRecordStore<SplicedLoop>>,
     results: SyncLru<CachedResult>,
     /// Durable two-tier store; `None` = memory-only service.
     store: Option<PersistentStore>,
@@ -484,7 +485,10 @@ impl CompileService {
     /// result cache) pool their analysis work. The config's
     /// `loop_entries` is ignored; the store keeps the bound it was
     /// built with.
-    pub fn with_loop_store(config: ServiceConfig, loops: Arc<LoopRecordStore>) -> Self {
+    pub fn with_loop_store(
+        config: ServiceConfig,
+        loops: Arc<LoopRecordStore<SplicedLoop>>,
+    ) -> Self {
         let mut norm = config.profile.clone();
         norm.threads = 1;
         let mut h = DefaultHasher::new();
@@ -569,7 +573,7 @@ impl CompileService {
 
     /// The shared loop-record store (for inspection in tests and
     /// benchmarks, and for handing to a second service).
-    pub fn loop_store(&self) -> &Arc<LoopRecordStore> {
+    pub fn loop_store(&self) -> &Arc<LoopRecordStore<SplicedLoop>> {
         &self.loops
     }
 
@@ -670,7 +674,9 @@ impl CompileService {
         let Some(store) = self.store.as_ref().filter(|s| s.read_only_reason().is_none()) else {
             return;
         };
-        store.sync(Tier::Loops, &self.loops.loop_snapshot(), loop_payload);
+        store.sync(Tier::Loops, &self.loops.loop_snapshot(), |key, rec| {
+            Some(loop_payload(key, rec))
+        });
         let results: Vec<(u64, CachedResult)> =
             self.results.lock().iter().map(|(k, e)| (k, e.clone())).collect();
         store.sync(Tier::Results, &results, |key, e| {
@@ -973,27 +979,18 @@ impl CompileService {
                 SuiteArtifact::Compiled(Box::new(r))
             }
         }))
-        .unwrap_or_else(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic".to_string());
-            SuiteArtifact::Failed(msg)
-        });
+        .unwrap_or_else(|p| SuiteArtifact::Failed(panic_message(p.as_ref())));
         (Arc::new(art), t.elapsed().as_secs_f64())
     }
 }
 
-/// Loop-tier record payload; `None` for a record that is not a
-/// [`SplicedLoop`] (nothing else is ever stored). `u64`s are encoded as
-/// decimal strings (f64 JSON numbers cannot carry 64 bits).
-fn loop_payload(key: u64, rec: &LoopRecord) -> Option<Json> {
-    let s = rec.downcast_ref::<SplicedLoop>()?;
-    Some(Json::Obj(vec![
+/// Loop-tier record payload. `u64`s are encoded as decimal strings
+/// (f64 JSON numbers cannot carry 64 bits).
+fn loop_payload(key: u64, rec: &SplicedLoop) -> Json {
+    Json::Obj(vec![
         ("k", Json::Str(key.to_string())),
-        ("rec", s.to_json()),
-    ]))
+        ("rec", rec.to_json()),
+    ])
 }
 
 /// Result-tier record payload: the suite's name and raw source plus

@@ -129,3 +129,27 @@ fn evicted_result_recompiles_by_splicing_loop_records() {
         again.stats
     );
 }
+
+#[test]
+fn second_client_sharing_only_the_loop_store_splices_and_matches_plain() {
+    // A fresh service — empty result cache — handed the first one's
+    // loop-record store: every suite compiles cold, but out of the
+    // first client's records.
+    let reqs = batch();
+    let first = CompileService::new(ServiceConfig::default());
+    first.compile_many(&reqs);
+    let second = CompileService::with_loop_store(
+        ServiceConfig::default(),
+        std::sync::Arc::clone(first.loop_store()),
+    );
+    let out = second.compile_many(&reqs);
+    assert_eq!(out.stats.result_hits, 0, "{:?}", out.stats);
+    assert!(out.stats.facts.loop_hits > 0, "{:?}", out.stats);
+    assert_eq!(out.stats.facts.loop_refusals, 0, "{:?}", out.stats);
+    let got: Vec<String> = out
+        .outcomes
+        .iter()
+        .map(|o| o.artifact.signature())
+        .collect();
+    assert_eq!(got, plain_signatures(&reqs));
+}

@@ -170,3 +170,35 @@ fn eviction_squeeze_misses_every_splice_yet_identity_holds() {
         "an all-miss recompile diverged"
     );
 }
+
+#[test]
+fn one_line_value_edit_in_a_five_suite_batch_recompiles_one_suite_by_splicing() {
+    use apar_service::{CompileService, ServiceConfig, SuiteRequest};
+    use apar_workloads::{gamess, linpack, perfect, sander, seismic, DataSize, Variant};
+
+    // The "tweak a parameter, rerun" loop: a value edit in SEISMIC's
+    // main unit, which nothing calls, so loop keys outside it survive.
+    let mut reqs: Vec<SuiteRequest> = [
+        seismic::full_suite(DataSize::Small, Variant::Serial),
+        gamess::suite(DataSize::Small),
+        sander::suite(DataSize::Small),
+        perfect::codes().swap_remove(0),
+        linpack::suite(),
+    ]
+    .into_iter()
+    .map(|w| SuiteRequest::new(w.name, w.source))
+    .collect();
+    let service = CompileService::new(ServiceConfig::default());
+    service.compile_many(&reqs);
+    reqs[0].source = edit(&reqs[0].source, "DT = 0.002", "DT = 0.502");
+
+    let out = service.compile_many(&reqs);
+    assert_eq!((out.stats.result_hits, out.stats.cold), (4, 1), "{:?}", out.stats);
+    assert!(out.stats.facts.loop_hits > 0, "{:?}", out.stats);
+    assert_eq!(out.stats.facts.loop_refusals, 0, "{:?}", out.stats);
+    let plain = Compiler::new(CompilerProfile::polaris2008());
+    for (r, o) in reqs.iter().zip(&out.outcomes) {
+        let reference = plain.compile_source_recovering(&r.name, &r.source);
+        assert_eq!(o.artifact.signature(), reference.report_signature(), "{}", r.name);
+    }
+}

@@ -71,11 +71,6 @@ impl Expr {
         }
     }
 
-    /// Wraps a linear form directly (already canonical by construction).
-    pub fn from_lin(lin: LinForm) -> Expr {
-        Expr { lin }
-    }
-
     /// The underlying linear form.
     pub fn lin(&self) -> &LinForm {
         &self.lin
@@ -228,14 +223,6 @@ impl Expr {
         }
         match self.lin.terms() {
             [(1, m)] => m.as_single_atom(),
-            _ => None,
-        }
-    }
-
-    /// If the expression is exactly one variable, returns its id.
-    pub fn as_var(&self) -> Option<VarId> {
-        match self.as_single_atom() {
-            Some(Atom::Var(v)) => Some(*v),
             _ => None,
         }
     }

@@ -57,12 +57,6 @@ impl<'a> Prover<'a> {
         }
     }
 
-    /// Overrides the recursion depth (mainly for tests).
-    pub fn with_depth(mut self, depth: u32) -> Self {
-        self.depth = depth;
-        self
-    }
-
     /// Proves `a <= b` (false means "could not prove", not "a > b").
     pub fn prove_le(&self, a: &Expr, b: &Expr) -> bool {
         self.prove_le_zero(&a.sub(b.clone()))
@@ -139,16 +133,6 @@ impl<'a> Prover<'a> {
             lo: Some(self.bound(e, false, self.depth)),
             hi: Some(self.bound(e, true, self.depth)),
         }
-    }
-
-    /// Constant upper bound of `e`, if one is derivable.
-    pub fn const_upper(&self, e: &Expr) -> Option<i64> {
-        self.bound(e, true, self.depth).as_int()
-    }
-
-    /// Constant lower bound of `e`, if one is derivable.
-    pub fn const_lower(&self, e: &Expr) -> Option<i64> {
-        self.bound(e, false, self.depth).as_int()
     }
 
     /// Computes a bound of `e` (`upper` selects the direction) by

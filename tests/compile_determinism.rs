@@ -4,7 +4,6 @@
 //! classifications and annotations, same Figure 5 histograms, same skip
 //! ledger. Only wall seconds may differ.
 
-use apar_bench::compile_bench::report_signature;
 use apar_core::{CompileResult, Compiler, CompilerProfile};
 use apar_workloads as wl;
 
@@ -55,8 +54,8 @@ fn assert_thread_invariant(w: &wl::Workload) {
         w.name
     );
     assert_eq!(
-        report_signature(&serial),
-        report_signature(&parallel),
+        serial.report_signature(),
+        parallel.report_signature(),
         "{}: full report signature differs",
         w.name
     );
@@ -68,17 +67,39 @@ fn assert_thread_invariant(w: &wl::Workload) {
     );
 }
 
+/// Checks every suite of `all_suites()` whose name `pick` accepts; the
+/// three tests below split the eight between them.
+fn assert_suites_thread_invariant(pick: impl Fn(&str) -> bool) {
+    let picked: Vec<wl::Workload> = wl::all_suites()
+        .into_iter()
+        .filter(|w| pick(&w.name))
+        .collect();
+    assert!(!picked.is_empty(), "no suite matched");
+    picked.iter().for_each(assert_thread_invariant);
+}
+
 #[test]
 fn seismic_compiles_identically_at_any_thread_count() {
-    let w = wl::seismic::full_suite(wl::DataSize::Small, wl::Variant::Serial);
-    assert_thread_invariant(&w);
+    assert_suites_thread_invariant(|name| name == "SEISMIC");
 }
 
 #[test]
 fn perfect_code_compiles_identically_at_any_thread_count() {
-    let w = wl::perfect::codes()
-        .into_iter()
-        .next()
-        .expect("at least one PERFECT code");
-    assert_thread_invariant(&w);
+    assert_suites_thread_invariant(|name| name.starts_with("PERFECT"));
+}
+
+#[test]
+fn gamess_sander_linpack_compile_identically_at_any_thread_count() {
+    assert_suites_thread_invariant(|name| name != "SEISMIC" && !name.starts_with("PERFECT"));
+}
+
+#[test]
+fn signature_tells_capability_profiles_apart() {
+    // Different capability sets analyze differently; a signature that
+    // could not notice would make every identity check above vacuous.
+    let w = wl::linpack::suite();
+    let full = Compiler::new(CompilerProfile::full())
+        .compile_source(&w.name, &w.source)
+        .expect("compile");
+    assert_ne!(compile(&w, 1).report_signature(), full.report_signature());
 }

@@ -4,7 +4,7 @@
 //! virtual-clock costs that make Figure 1's MPI bars meaningful.
 
 use autopar::minifort::frontend;
-use autopar::runtime::{run_mpi, run_mpi_cfg, ExecConfig, RtError, RunResult};
+use autopar::runtime::{run_mpi, run_mpi_cfg, ExecConfig, FaultPlan, MsgPat, RtError, RunResult};
 
 fn mpi(src: &str, ranks: usize) -> RunResult {
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
@@ -506,4 +506,47 @@ END
         1,
     );
     assert_eq!(out.output, vec!["ONE 1.000000".to_string()]);
+}
+
+#[test]
+fn delayed_message_costs_its_latency_on_the_critical_path_only() {
+    // Rank 1 works, then sends; rank 0 does nothing but wait for it, so
+    // the receive is the critical path and the run ends when it does.
+    let rp = frontend(
+        "PROGRAM P
+  REAL A(4), W(2048)
+  CALL MPMYID(ME)
+  IF (ME .EQ. 1) THEN
+    DO I = 1, 2048
+      W(I) = REAL(I) * 1.5
+    ENDDO
+    A(1) = W(2048)
+    CALL MPSEND(A, 1, 4, 0, 3)
+  ENDIF
+  IF (ME .EQ. 0) THEN
+    CALL MPRECV(A, 1, 4, 1, 3)
+    WRITE(*,*) 'GOT', A(1)
+  ENDIF
+END
+",
+    )
+    .unwrap_or_else(|e| panic!("{}", e));
+    let run = |fault: FaultPlan| {
+        let cfg = ExecConfig {
+            seg_words: 1 << 18,
+            fault,
+            ..Default::default()
+        };
+        run_mpi_cfg(&rp, &[], 2, &cfg).unwrap_or_else(|e| panic!("{}", e))
+    };
+    let base = run(FaultPlan::none());
+    assert_eq!(base.output, vec!["GOT 3072.000000".to_string()]);
+
+    let delayed = run(FaultPlan::none().delay_message(MsgPat::any().to_rank(0), 7_000));
+    assert_eq!(delayed.output, base.output);
+    assert_eq!(delayed.virt, base.virt + 7_000);
+
+    // Nothing is addressed to rank 1, so this pattern matches nothing.
+    let elsewhere = run(FaultPlan::none().delay_message(MsgPat::any().to_rank(1), 7_000));
+    assert_eq!((elsewhere.output, elsewhere.virt), (base.output, base.virt));
 }

@@ -24,10 +24,8 @@ use apar_runtime::{run, ExecConfig, ExecMode};
 use apar_workloads::all_suites;
 
 use crate::bar;
-use crate::deck;
 
 pub const THREADS: usize = 4;
-const SEG: usize = 1 << 22;
 
 /// One suite's end-to-end measurement.
 #[derive(Clone, Debug)]
@@ -80,7 +78,6 @@ pub fn measure(threads: usize, filter: &[String]) -> ExecBenchData {
 
 /// Compiles, emits, reparses, and runs one suite both ways.
 pub fn measure_suite(w: &apar_workloads::Workload, threads: usize) -> ExecBenchRow {
-    let d = deck(w);
     let emit = Compiler::new(CompilerProfile::polaris2008())
         .compile_and_emit(&w.name, &w.source)
         .expect("compile_and_emit");
@@ -93,23 +90,15 @@ pub fn measure_suite(w: &apar_workloads::Workload, threads: usize) -> ExecBenchR
         .count();
 
     let serial_rp = frontend(&w.source).expect("serial frontend");
-    let serial = run(
-        &serial_rp,
-        &d,
-        &ExecConfig {
-            seg_words: SEG,
-            ..Default::default()
-        },
-    );
+    let serial = run(&serial_rp, &w.deck, &ExecConfig::default());
     // The annotated artifact is executed from its *reparsed* form: the
     // emitted text, not the in-memory annotation, is what's measured.
     let auto = run(
         &emit.reparsed,
-        &d,
+        &w.deck,
         &ExecConfig {
             mode: ExecMode::Auto,
             threads,
-            seg_words: SEG,
             ..Default::default()
         },
     );

@@ -12,10 +12,8 @@ use apar_minifort::frontend;
 use apar_runtime::{run, run_mpi, ExecConfig, ExecMode};
 use apar_workloads::seismic::{component, Component};
 use apar_workloads::{DataSize, Variant};
-use crate::deck;
 
 pub const THREADS: usize = 4;
-const SEG: usize = 1 << 22;
 
 #[derive(Clone, Debug)]
 pub struct Fig1Row {
@@ -57,25 +55,16 @@ pub fn measure(size: DataSize) -> Fig1Data {
 pub fn measure_component(c: Component, size: DataSize) -> Fig1Row {
     let sw = component(c, size, Variant::Serial);
     let rp = frontend(&sw.source).expect("serial frontend");
-    let serial = run(
-        &rp,
-        &deck(&sw),
-        &ExecConfig {
-            seg_words: SEG,
-            ..Default::default()
-        },
-    )
-    .expect("serial run");
+    let serial = run(&rp, &sw.deck, &ExecConfig::default()).expect("serial run");
 
     let ow = component(c, size, Variant::OpenMp);
     let rpo = frontend(&ow.source).expect("omp frontend");
     let omp = run(
         &rpo,
-        &deck(&ow),
+        &ow.deck,
         &ExecConfig {
             mode: ExecMode::Manual,
             threads: THREADS,
-            seg_words: SEG,
             ..Default::default()
         },
     )
@@ -86,11 +75,10 @@ pub fn measure_component(c: Component, size: DataSize) -> Fig1Row {
         .expect("compile");
     let auto = run(
         &compiled.rp,
-        &deck(&sw),
+        &sw.deck,
         &ExecConfig {
             mode: ExecMode::Auto,
             threads: THREADS,
-            seg_words: SEG,
             ..Default::default()
         },
     )
@@ -98,7 +86,7 @@ pub fn measure_component(c: Component, size: DataSize) -> Fig1Row {
 
     let mw = component(c, size, Variant::Mpi);
     let rpm = frontend(&mw.source).expect("mpi frontend");
-    let mpi = run_mpi(&rpm, &deck(&mw), THREADS, SEG).expect("mpi run");
+    let mpi = run_mpi(&rpm, &mw.deck, THREADS, &ExecConfig::default()).expect("mpi run");
 
     Fig1Row {
         component: c.label().to_string(),

@@ -253,7 +253,6 @@ fn exec_config(mode: ExecMode, threads: usize) -> ExecConfig {
     ExecConfig {
         mode,
         threads,
-        seg_words: 1 << 20,
         max_output: 2_000,
         // Fuel cap: mutated sources can contain infinite DO WHILE
         // loops; a capped run counts as a serial error, not a hang.

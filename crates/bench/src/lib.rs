@@ -23,20 +23,6 @@ pub mod persist_bench;
 pub mod resilience_bench;
 pub mod spec;
 
-use apar_runtime::DeckVal;
-use apar_workloads::Workload;
-
-/// Converts a workload deck for the runtime.
-pub fn deck(w: &Workload) -> Vec<DeckVal> {
-    w.deck
-        .iter()
-        .map(|d| match d {
-            apar_workloads::DeckValue::Int(v) => DeckVal::Int(*v),
-            apar_workloads::DeckValue::Real(v) => DeckVal::Real(*v),
-        })
-        .collect()
-}
-
 /// Writes a JSON artifact under `target/figures/`.
 pub fn write_artifact(name: &str, value: &impl json::ToJson) -> std::path::PathBuf {
     let dir = std::path::Path::new("target/figures");

@@ -58,7 +58,7 @@ pub use diag::{Diag, ParseError, ResolveError};
 pub use parser::{parse_program, parse_program_recovering};
 pub use resolve::{resolve, resolve_recovering, ResolvedProgram};
 pub use symtab::{ArrayShape, Storage, SymbolKind, SymbolTable};
-pub use types::{Lang, Ty};
+pub use types::{DeckVal, Lang, Ty};
 
 /// Parses and resolves in one step; the common entry point.
 pub fn frontend(src: &str) -> Result<ResolvedProgram, Diag> {

@@ -47,6 +47,16 @@ impl fmt::Display for Ty {
     }
 }
 
+/// One value of an input deck, consumed by `READ(*,*)` in order. The
+/// front end owns the statement, so it owns the type: the workload
+/// generators build decks of it and the runtime reads them, under the
+/// names `apar_workloads::DeckValue` and `apar_runtime::DeckVal`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum DeckVal {
+    Int(i64),
+    Real(f64),
+}
+
 /// Source language of a program unit. `C` units model the multilingual
 /// challenge (§2.4): the Fortran-level analysis treats their bodies as
 /// opaque, while the runtime still executes them.

@@ -64,7 +64,10 @@ pub struct ExecConfig {
     pub threads: usize,
     /// Record and verify shared accesses of parallel regions.
     pub check_races: bool,
-    /// Words per thread stack segment.
+    /// Bound on one thread's activation stack, in words: recursion or
+    /// a local past it fails the run with [`RtError::StackOverflow`].
+    /// Not a cost — stack pages are mapped when touched — so one
+    /// default serves every program in the repository.
     pub seg_words: usize,
     /// Hard cap on emitted output lines.
     pub max_output: usize,
@@ -86,7 +89,7 @@ impl Default for ExecConfig {
             mode: ExecMode::Serial,
             threads: 4,
             check_races: false,
-            seg_words: 1 << 20,
+            seg_words: 1 << 22,
             max_output: 10_000,
             max_virt: u64::MAX,
             mpi_timeout_ms: 2_000,
@@ -215,7 +218,7 @@ pub fn run(
 }
 
 /// Runs an already-lowered program. `mpi` attaches a rank environment.
-pub fn run_lowered(
+pub(crate) fn run_lowered(
     prog: &RProgram,
     deck: &[DeckVal],
     cfg: &ExecConfig,
@@ -303,12 +306,6 @@ impl ArrDesc {
     const MAX_RANK: usize = 4;
 }
 
-/// A caller-prepared argument.
-#[derive(Clone, Copy)]
-pub(crate) enum Bound {
-    Addr(usize),
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Flow {
     Normal,
@@ -372,7 +369,7 @@ impl<'p, 's> Exec<'p, 's> {
 
     // ---------------- activation ----------------
 
-    fn call_unit(&mut self, uid: UnitId, actuals: &[Bound]) -> Result<Flow, RtError> {
+    fn call_unit(&mut self, uid: UnitId, actuals: &[usize]) -> Result<Flow, RtError> {
         let unit = &self.sh.prog.units[uid];
         if actuals.len() < unit.nformals {
             return Err(self.trap(format!(
@@ -392,7 +389,7 @@ impl<'p, 's> Exec<'p, 's> {
     }
 
     /// Calls a FUNCTION and returns its value.
-    fn call_function(&mut self, uid: UnitId, actuals: &[Bound]) -> Result<Cell, RtError> {
+    fn call_function(&mut self, uid: UnitId, actuals: &[usize]) -> Result<Cell, RtError> {
         let unit = &self.sh.prog.units[uid];
         let Some(fn_slot) = unit.fn_slot else {
             return Err(self.trap(format!("{} is not a function", unit.name)));
@@ -413,7 +410,7 @@ impl<'p, 's> Exec<'p, 's> {
         Ok(v)
     }
 
-    fn activate(&mut self, unit: &'p RUnit, actuals: &[Bound]) -> Result<Frame<'p>, RtError> {
+    fn activate(&mut self, unit: &'p RUnit, actuals: &[usize]) -> Result<Frame<'p>, RtError> {
         self.virt += 16 + unit.scalars.len() as u64 + 2 * unit.arrays.len() as u64;
         let mark = self.stack.top;
         // Local areas. Small areas (scalars and tiny arrays) are reset
@@ -446,7 +443,7 @@ impl<'p, 's> Exec<'p, 's> {
                     base + offset as usize
                 }
                 SLoc::Formal { pos } => match actuals.get(pos as usize) {
-                    Some(Bound::Addr(a)) => *a,
+                    Some(a) => *a,
                     None => {
                         return Err(self.trap(format!(
                             "{}: formal #{} has no bound actual",
@@ -476,7 +473,7 @@ impl<'p, 's> Exec<'p, 's> {
                     ab + offset as usize
                 }
                 ABase::Formal { pos } => match actuals.get(pos as usize) {
-                    Some(Bound::Addr(x)) => *x,
+                    Some(x) => *x,
                     None => {
                         return Err(self.trap(format!(
                             "{}: array formal #{} has no bound actual",
@@ -508,9 +505,13 @@ impl<'p, 's> Exec<'p, 's> {
                 match extent {
                     Some(e) => {
                         let ext = self.eval(&frame, e)?.as_int().max(0);
-                        stride *= ext;
+                        stride = stride.checked_mul(ext).ok_or_else(|| {
+                            self.trap(format!("{}: array extent overflows", unit.name))
+                        })?;
+                        // Until an assumed-size dimension, the word
+                        // count is the same running product.
                         if total >= 0 {
-                            total *= ext;
+                            total = stride;
                         }
                     }
                     None => total = -1,
@@ -614,7 +615,13 @@ impl<'p, 's> Exec<'p, 's> {
                 if step_v == 0 {
                     return Err(self.trap("zero DO step"));
                 }
-                let trip = ((hi_v - lo_v + step_v) / step_v).max(0);
+                // In i128 the count cannot overflow; one that does not
+                // fit the loop variable's type is a trap, the same in
+                // every build profile.
+                let span = hi_v as i128 - lo_v as i128 + step_v as i128;
+                let Ok(trip) = i64::try_from((span / step_v as i128).max(0)) else {
+                    return Err(self.trap("DO trip count overflows"));
+                };
                 let directive = match self.sh.cfg.mode {
                     ExecMode::Serial => None,
                     ExecMode::Manual => manual.as_ref(),
@@ -632,16 +639,7 @@ impl<'p, 's> Exec<'p, 's> {
                         );
                     }
                 }
-                let var_addr = f.scalars[*var as usize];
-                for t in 0..trip {
-                    self.wr(var_addr, Cell::Int(lo_v + t * step_v))?;
-                    match self.exec_block(f, body)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                }
-                self.wr(var_addr, Cell::Int(lo_v + trip * step_v))?;
-                Ok(Flow::Normal)
+                self.run_trips(f, *var, lo_v, step_v, trip, body)
             }
             RStmt::Call(target, actuals) => match target {
                 CallTarget::Unit(uid) => {
@@ -702,13 +700,36 @@ impl<'p, 's> Exec<'p, 's> {
         }
     }
 
+    /// The serial trip loop: runs trips `0..trip` of a `DO` on this
+    /// thread, then leaves the loop variable at its Fortran exit value.
+    fn run_trips(
+        &mut self,
+        f: &Frame<'p>,
+        var: ScalarId,
+        lo: i64,
+        step: i64,
+        trip: i64,
+        body: &[RStmt],
+    ) -> Result<Flow, RtError> {
+        let var_addr = f.scalars[var as usize];
+        for t in 0..trip {
+            self.wr(var_addr, Cell::Int(do_value(lo, t, step)))?;
+            match self.exec_block(f, body)? {
+                Flow::Normal => {}
+                other => return Ok(other),
+            }
+        }
+        self.wr(var_addr, Cell::Int(do_value(lo, trip, step)))?;
+        Ok(Flow::Normal)
+    }
+
     /// Prepares arguments; by-value temporaries live on this thread's
     /// stack until released by the caller.
     fn bind_actuals(
         &mut self,
         f: &Frame<'p>,
         actuals: &[RActual],
-    ) -> Result<(Vec<Bound>, usize), RtError> {
+    ) -> Result<(Vec<usize>, usize), RtError> {
         let temps_mark = self.stack.top;
         let mut bound = Vec::with_capacity(actuals.len());
         for a in actuals {
@@ -717,14 +738,11 @@ impl<'p, 's> Exec<'p, 's> {
                     let v = self.eval(f, e)?;
                     let addr = self.stack.alloc(1)?;
                     self.sh.arena.write(addr, v);
-                    Bound::Addr(addr)
+                    addr
                 }
-                RActual::ScalarRef(id) => Bound::Addr(f.scalars[*id as usize]),
-                RActual::ArrayRef(id) => Bound::Addr(f.arrays[*id as usize].base),
-                RActual::Section(id, subs) => {
-                    let addr = self.elem_addr(f, *id, subs)?;
-                    Bound::Addr(addr)
-                }
+                RActual::ScalarRef(id) => f.scalars[*id as usize],
+                RActual::ArrayRef(id) => f.arrays[*id as usize].base,
+                RActual::Section(id, subs) => self.elem_addr(f, *id, subs)?,
             });
         }
         Ok((bound, temps_mark))
@@ -738,13 +756,19 @@ impl<'p, 's> Exec<'p, 's> {
             if k >= desc.rank as usize {
                 return Err(self.trap("too many subscripts"));
             }
-            off += (sv - desc.lo[k]) * desc.stride[k];
+            off = sv
+                .checked_sub(desc.lo[k])
+                .and_then(|d| d.checked_mul(desc.stride[k]))
+                .and_then(|term| off.checked_add(term))
+                .ok_or_else(|| self.trap("subscript out of range (address overflows)"))?;
         }
-        let addr = desc.base as i64 + off;
-        if addr < 0 || addr as usize >= self.sh.arena.total_len() {
-            return Err(self.trap(format!("subscript out of range (addr {})", addr)));
+        match (desc.base as i64).checked_add(off) {
+            Some(addr) if addr >= 0 && (addr as usize) < self.sh.arena.total_len() => {
+                Ok(addr as usize)
+            }
+            Some(addr) => Err(self.trap(format!("subscript out of range (addr {})", addr))),
+            None => Err(self.trap("subscript out of range (address overflows)")),
         }
-        Ok(addr as usize)
     }
 
     fn store(&mut self, f: &Frame<'p>, lv: &RLval, v: Cell) -> Result<(), RtError> {
@@ -808,11 +832,12 @@ impl<'p, 's> Exec<'p, 's> {
                 // Iteration plan: contiguous chunk (STATIC) or
                 // round-robin stride (CYCLIC, for imbalanced bodies).
                 let (t_start, t_end, t_step) = match dir.schedule {
-                    Schedule::Static => (
-                        trip * w as i64 / nthreads as i64,
-                        trip * (w as i64 + 1) / nthreads as i64,
-                        1,
-                    ),
+                    Schedule::Static => {
+                        // `trip * w` can pass i64 for a huge trip count;
+                        // the quotient is at most `trip`.
+                        let cut = |k: usize| (trip as i128 * k as i128 / nthreads as i128) as i64;
+                        (cut(w), cut(w + 1), 1)
+                    }
                     Schedule::Cyclic => (w as i64, trip, nthreads as i64),
                 };
                 let priv_scalars = &priv_scalars;
@@ -868,7 +893,7 @@ impl<'p, 's> Exec<'p, 's> {
                         let mut last_t = None;
                         let mut t = t_start;
                         while t < t_end {
-                            sh.arena.write(var_addr, Cell::Int(lo + t * step));
+                            sh.arena.write(var_addr, Cell::Int(do_value(lo, t, step)));
                             match ex.exec_block(&wf, body)? {
                                 Flow::Normal => {}
                                 _ => {
@@ -978,7 +1003,7 @@ impl<'p, 's> Exec<'p, 's> {
             }
         }
         // Loop variable's sequential exit value.
-        self.wr(f.scalars[var as usize], Cell::Int(lo + trip * step))?;
+        self.wr(f.scalars[var as usize], Cell::Int(do_value(lo, trip, step)))?;
         Ok(Flow::Normal)
     }
 
@@ -1062,17 +1087,7 @@ impl<'p, 's> Exec<'p, 's> {
                 cp.restore(arena);
                 lock_unpoisoned(&self.sh.out).truncate(out_mark);
                 self.virt += cp.words() as u64 / 8; // restore cost
-                // Serial re-execution.
-                let var_addr = f.scalars[var as usize];
-                for t in 0..trip {
-                    self.wr(var_addr, Cell::Int(lo + t * step))?;
-                    match self.exec_block(f, body)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                }
-                self.wr(var_addr, Cell::Int(lo + trip * step))?;
-                Ok(Flow::Normal)
+                self.run_trips(f, var, lo, step, trip, body)
             }
         }
     }
@@ -1125,13 +1140,6 @@ impl<'p, 's> Exec<'p, 's> {
                 v
             }
         })
-    }
-
-    /// Address of a scalar slot (used by the MPI builtins).
-    pub(crate) fn bound_addr(b: &Bound) -> usize {
-        match b {
-            Bound::Addr(a) => *a,
-        }
     }
 
     /// Raw cell read for the MPI builtins.
@@ -1191,6 +1199,12 @@ fn body_has_calls(body: &[RStmt]) -> bool {
         }
     }
     body.iter().any(stmt)
+}
+
+/// The loop variable's value at trip `t` (`t = trip` is the exit
+/// value): program-level integer arithmetic, so wrapping like `bin_op`.
+fn do_value(lo: i64, t: i64, step: i64) -> i64 {
+    lo.wrapping_add(t.wrapping_mul(step))
 }
 
 fn conflict(a: &RaceLog, b: &RaceLog) -> Option<usize> {

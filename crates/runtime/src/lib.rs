@@ -41,12 +41,9 @@ pub use interp::{
     run, ExecConfig, ExecMode, RtError, RunResult, FORK_REGION_COST, FORK_THREAD_COST,
     OPS_PER_SECOND, SPEC_MONITOR_COST,
 };
-pub use mpi::{run_mpi, run_mpi_cfg};
+pub use mpi::run_mpi;
 pub use rprog::RProgram;
 
-/// Deck values accepted by `READ(*,*)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DeckVal {
-    Int(i64),
-    Real(f64),
-}
+/// Deck values accepted by `READ(*,*)` (defined by the front end, which
+/// owns the statement; `apar_workloads::DeckValue` is the same type).
+pub use apar_minifort::DeckVal;

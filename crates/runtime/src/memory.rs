@@ -7,14 +7,21 @@
 //! touch disjoint shared cells, and the dynamic race checker validates
 //! exactly that guarantee in tests.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
 
 /// One storage word. Fortran storage association is by word; MiniFort
 /// keeps the runtime type in the cell and treats uninitialized reads as
 /// numeric zero (static zero-initialized storage, common F77 practice).
+///
+/// The layout is declared (`repr(u64)`: a `u64` tag, then the payload)
+/// and `Uninit` is tag 0, so all-zero bytes are a valid `Cell::Uninit`.
+/// [`Arena::new`] relies on that to take its storage zeroed from the
+/// allocator instead of writing every cell.
 #[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(u64)]
 pub enum Cell {
-    Uninit,
+    Uninit = 0,
     Int(i64),
     Real(f64),
 }
@@ -53,13 +60,38 @@ unsafe impl Sync for Arena {}
 
 impl Arena {
     /// `commons_len` words of global storage plus `segments` stacks of
-    /// `seg_len` words each.
+    /// `seg_len` words each, all `Cell::Uninit`.
+    ///
+    /// The storage comes zeroed from the allocator, which for anything
+    /// this large means fresh pages the OS maps on first touch: an
+    /// arena costs what the program touches, not what it reserves, so
+    /// `seg_len` is a bound on stack depth and not a price.
     pub fn new(commons_len: usize, segments: usize, seg_len: usize) -> Arena {
-        let total = commons_len + segments * seg_len;
-        let cells = (0..total)
-            .map(|_| UnsafeCell::new(Cell::Uninit))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let total = segments
+            .checked_mul(seg_len)
+            .and_then(|stacks| stacks.checked_add(commons_len))
+            .expect("arena size overflows usize");
+        let layout = Layout::array::<UnsafeCell<Cell>>(total)
+            .expect("arena size overflows the address space");
+        let cells: Box<[UnsafeCell<Cell>]> = if total == 0 {
+            Box::new([])
+        } else {
+            // SAFETY: `layout` is the non-zero-sized layout of
+            // `[UnsafeCell<Cell>; total]`, so a non-null `alloc_zeroed`
+            // result is valid for `total` elements and is exactly what
+            // the `Box` will later free with the global allocator.
+            // `UnsafeCell<Cell>` has `Cell`'s layout, and all-zero bytes
+            // are `Cell::Uninit` (tag 0 under `repr(u64)`; the payload
+            // bytes of a unit variant carry no validity requirement), so
+            // every element is initialized.
+            unsafe {
+                let p = alloc_zeroed(layout).cast::<UnsafeCell<Cell>>();
+                if p.is_null() {
+                    handle_alloc_error(layout);
+                }
+                Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, total))
+            }
+        };
         Arena {
             cells,
             commons_len,
@@ -165,6 +197,22 @@ mod tests {
         a.write(10, Cell::Real(1.5));
         assert_eq!(a.read(10), Cell::Real(1.5));
         assert_eq!(a.read(11), Cell::Uninit);
+    }
+
+    #[test]
+    fn zeroed_storage_reads_as_uninit() {
+        // The default run's arena (five 2^22-word segments, 320 MiB of
+        // address space): far past any allocator's small-block path, so
+        // the cells are whatever `alloc_zeroed` and the OS hand out.
+        let n = 5 << 22;
+        let a = Arena::new(0, 5, 1 << 22);
+        assert_eq!(a.total_len(), n);
+        for addr in [0, n / 2, n - 1] {
+            assert_eq!(a.read(addr), Cell::Uninit, "cell {}", addr);
+        }
+        a.write(n - 1, Cell::Int(7));
+        assert_eq!(a.read(n - 1), Cell::Int(7));
+        assert_eq!(Arena::new(0, 4, 0).total_len(), 0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::FaultPlan;
 use crate::interp::{
-    panic_message, run_lowered, Bound, Exec, ExecConfig, ExecMode, RtError, RunResult,
+    panic_message, run_lowered, Exec, ExecConfig, ExecMode, RtError, RunResult,
 };
 use crate::memory::Cell;
 use crate::rprog::{MpOp, RProgram};
@@ -363,7 +363,7 @@ impl MpiWorld {
 pub(crate) fn exec_builtin(
     ex: &mut Exec<'_, '_>,
     op: MpOp,
-    args: &[Bound],
+    args: &[usize],
 ) -> Result<(), RtError> {
     let Some(env) = ex.mpi.clone() else {
         return Err(RtError::Trap(
@@ -374,7 +374,7 @@ pub(crate) fn exec_builtin(
     w.note_op(env.rank)?;
     let addr = |i: usize| -> Result<usize, RtError> {
         args.get(i)
-            .map(Exec::bound_addr)
+            .copied()
             .ok_or_else(|| RtError::Trap("missing MP* argument".into()))
     };
     match op {
@@ -453,45 +453,6 @@ pub(crate) fn exec_builtin(
     Ok(())
 }
 
-/// Runs the program on `ranks` simulated processes; returns rank 0's
-/// output with the overall wall time.
-pub fn run_mpi(
-    rp: &apar_minifort::ResolvedProgram,
-    deck: &[DeckVal],
-    ranks: usize,
-    seg_words: usize,
-) -> Result<RunResult, RtError> {
-    let prog = RProgram::lower(rp)?;
-    run_mpi_lowered(&prog, deck, ranks, seg_words)
-}
-
-/// Runs the program on `ranks` simulated processes with an explicit
-/// configuration (timeout and fault plan included).
-pub fn run_mpi_cfg(
-    rp: &apar_minifort::ResolvedProgram,
-    deck: &[DeckVal],
-    ranks: usize,
-    cfg: &ExecConfig,
-) -> Result<RunResult, RtError> {
-    let prog = RProgram::lower(rp)?;
-    run_mpi_lowered_cfg(&prog, deck, ranks, cfg)
-}
-
-/// Runs a lowered program under MPI simulation with default timeout and
-/// no fault injection.
-pub fn run_mpi_lowered(
-    prog: &RProgram,
-    deck: &[DeckVal],
-    ranks: usize,
-    seg_words: usize,
-) -> Result<RunResult, RtError> {
-    let cfg = ExecConfig {
-        seg_words,
-        ..Default::default()
-    };
-    run_mpi_lowered_cfg(prog, deck, ranks, &cfg)
-}
-
 /// Ranks the severity of a per-rank result so the world reports the
 /// root cause, not a follow-on abort.
 fn severity(res: &Result<RunResult, RtError>) -> u8 {
@@ -505,14 +466,19 @@ fn severity(res: &Result<RunResult, RtError>) -> u8 {
     }
 }
 
-/// Runs a lowered program under MPI simulation.
-pub fn run_mpi_lowered_cfg(
-    prog: &RProgram,
+/// Runs the program on `ranks` simulated processes, each a serial
+/// interpreter over its own memory; returns rank 0's output with the
+/// overall wall time. `cfg` supplies the stack bound, the output and op
+/// caps, the deadlock timeout and the fault plan; its `mode` and
+/// `threads` do not apply to ranks.
+pub fn run_mpi(
+    rp: &apar_minifort::ResolvedProgram,
     deck: &[DeckVal],
     ranks: usize,
     cfg: &ExecConfig,
 ) -> Result<RunResult, RtError> {
     assert!(ranks >= 1);
+    let prog = RProgram::lower(rp)?;
     let world = MpiWorld::new(
         ranks,
         Duration::from_millis(cfg.mpi_timeout_ms),

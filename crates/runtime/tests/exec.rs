@@ -287,7 +287,7 @@ fn min_max_reductions_parallel() {
 fn mpi_rank_identity_and_reduce() {
     let src = "PROGRAM P\nCALL MPMYID(ME)\nCALL MPNPROC(NP)\nS = REAL(ME + 1)\nCALL MPREDS(S)\nIF (ME .EQ. 0) THEN\nWRITE(*,*) NP, S\nENDIF\nEND\n";
     let rp = frontend(src).unwrap();
-    let r = run_mpi(&rp, &[], 4, 1 << 16).unwrap();
+    let r = run_mpi(&rp, &[], 4, &ExecConfig::default()).unwrap();
     // sum of 1..4 = 10
     assert_eq!(r.output, vec!["4 10.000000"]);
 }
@@ -296,7 +296,7 @@ fn mpi_rank_identity_and_reduce() {
 fn mpi_send_recv_ring() {
     let src = "PROGRAM P\nREAL BUF(8)\nCALL MPMYID(ME)\nCALL MPNPROC(NP)\nDO K = 1, 8\nBUF(K) = REAL(ME * 100 + K)\nENDDO\nNEXT = MOD(ME + 1, NP)\nPREV = MOD(ME + NP - 1, NP)\nCALL MPSEND(BUF, 1, 4, NEXT, 7)\nCALL MPRECV(BUF, 5, 4, PREV, 7)\nIF (ME .EQ. 0) THEN\nWRITE(*,*) BUF(5), BUF(8)\nENDIF\nEND\n";
     let rp = frontend(src).unwrap();
-    let r = run_mpi(&rp, &[], 4, 1 << 16).unwrap();
+    let r = run_mpi(&rp, &[], 4, &ExecConfig::default()).unwrap();
     // Rank 0 receives rank 3's first 4 elements: 301..304.
     assert_eq!(r.output, vec!["301.000000 304.000000"]);
 }
@@ -305,7 +305,7 @@ fn mpi_send_recv_ring() {
 fn mpi_allgather() {
     let src = "PROGRAM P\nREAL G(16)\nCALL MPMYID(ME)\nCALL MPNPROC(NP)\nDO K = 1, 4\nG(ME * 4 + K) = REAL(ME * 10 + K)\nENDDO\nCALL MPALLG(G, ME * 4 + 1, 4)\nIF (ME .EQ. 0) THEN\nWRITE(*,*) G(1), G(8), G(16)\nENDIF\nEND\n";
     let rp = frontend(src).unwrap();
-    let r = run_mpi(&rp, &[], 4, 1 << 16).unwrap();
+    let r = run_mpi(&rp, &[], 4, &ExecConfig::default()).unwrap();
     assert_eq!(r.output, vec!["1.000000 14.000000 34.000000"]);
 }
 
@@ -313,7 +313,7 @@ fn mpi_allgather() {
 fn mpi_commons_are_rank_private() {
     let src = "PROGRAM P\nCOMMON /C/ N\nCALL MPMYID(ME)\nN = ME\nCALL MPBAR\nS = REAL(N)\nCALL MPREDS(S)\nIF (ME .EQ. 0) THEN\nWRITE(*,*) S\nENDIF\nEND\n";
     let rp = frontend(src).unwrap();
-    let r = run_mpi(&rp, &[], 4, 1 << 16).unwrap();
+    let r = run_mpi(&rp, &[], 4, &ExecConfig::default()).unwrap();
     // 0+1+2+3 = 6: each rank kept its own N.
     assert_eq!(r.output, vec!["6.000000"]);
 }
@@ -325,4 +325,70 @@ fn malformed_intrinsic_arity_traps_instead_of_panicking() {
     let rp = frontend("PROGRAM P\nK = MOD(7)\nWRITE(*,*) K\nEND\n").expect("frontend");
     let err = run(&rp, &[], &ExecConfig::default()).expect_err("arity trap");
     assert!(matches!(err, RtError::Trap(_)), "{:?}", err);
+}
+
+// ---------------- the stack bound ----------------
+
+fn run_bounded(src: &str, mode: ExecMode, seg_words: usize) -> Result<Vec<String>, RtError> {
+    let rp = frontend(src).expect("frontend");
+    let cfg = ExecConfig {
+        mode,
+        seg_words,
+        ..Default::default()
+    };
+    run(&rp, &[], &cfg).map(|r| r.output)
+}
+
+#[test]
+fn unbounded_recursion_overflows_the_stack_bound() {
+    let src = |local: usize| {
+        format!(
+            "PROGRAM P\nCALL R(1)\nEND\nSUBROUTINE R(N)\nREAL W({})\nW(1) = REAL(N)\nCALL R(N + 1)\nEND\n",
+            local
+        )
+    };
+    // A small explicit bound, and the default every other caller uses.
+    // Each activation also nests the tree-walking interpreter a few
+    // KiB deeper on the host stack, so the frame grows with the bound
+    // to keep the depth at which the bound is met small (16 and 4).
+    let default = ExecConfig::default().seg_words;
+    for (local, seg_words) in [(1000, 1 << 14), (1_000_000, default)] {
+        assert_eq!(
+            run_bounded(&src(local), ExecMode::Serial, seg_words),
+            Err(RtError::StackOverflow),
+            "seg_words = {}",
+            seg_words
+        );
+    }
+}
+
+#[test]
+fn oversized_local_overflows_the_stack_bound() {
+    let src = "PROGRAM P\nREAL A(100000000)\nA(1) = 1.0\nWRITE(*,*) A(1)\nEND\n";
+    assert_eq!(
+        run_bounded(src, ExecMode::Serial, 1 << 14),
+        Err(RtError::StackOverflow)
+    );
+    // The same program under a bound that fits it runs: the bound is
+    // the only thing that failed above.
+    let fits = src.replace("100000000", "1000");
+    assert_eq!(
+        run_bounded(&fits, ExecMode::Serial, 1 << 14),
+        Ok(vec!["1.000000".to_string()])
+    );
+}
+
+#[test]
+fn private_array_overlay_past_a_worker_segment_is_stack_overflow() {
+    // W lives in COMMON, so the main thread's stack holds only scalars;
+    // each worker must overlay 5000 private words in a 1024-word segment.
+    let src = "PROGRAM P\nCOMMON /C/ W(5000)\nREAL A(8)\n!$OMP PARALLEL DO PRIVATE(W)\nDO I = 1, 8\nW(1) = REAL(I)\nA(I) = W(1)\nENDDO\nWRITE(*,*) A(8)\nEND\n";
+    assert_eq!(
+        run_bounded(src, ExecMode::Manual, 1 << 10),
+        Err(RtError::StackOverflow)
+    );
+    assert_eq!(
+        run_bounded(src, ExecMode::Manual, 1 << 14),
+        Ok(vec!["8.000000".to_string()])
+    );
 }

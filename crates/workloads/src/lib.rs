@@ -28,12 +28,9 @@ pub mod sander;
 pub mod seismic;
 
 use apar_core::Classification;
-/// A value in an input deck, consumed by `READ(*,*)` in order.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DeckValue {
-    Int(i64),
-    Real(f64),
-}
+/// A value in an input deck: the front end's [`apar_minifort::DeckVal`],
+/// so a [`Workload::deck`] goes to the runtime as it is.
+pub use apar_minifort::DeckVal as DeckValue;
 
 /// Expected analysis outcome for one `!$TARGET` loop.
 #[derive(Clone, Debug)]

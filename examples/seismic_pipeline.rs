@@ -8,9 +8,9 @@
 
 use autopar::core::{Compiler, CompilerProfile};
 use autopar::minifort::frontend;
-use autopar::runtime::{run, run_mpi, DeckVal, ExecConfig, ExecMode};
+use autopar::runtime::{run, run_mpi, ExecConfig, ExecMode};
 use autopar::workloads::seismic::{component, Component};
-use autopar::workloads::{DataSize, DeckValue, Variant};
+use autopar::workloads::{DataSize, Variant};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "fft".into());
@@ -22,16 +22,8 @@ fn main() {
         other => panic!("unknown component {}", other),
     };
     let size = DataSize::Small;
-    let seg = 1 << 22;
     let sw = component(c, size, Variant::Serial);
-    let deck: Vec<DeckVal> = sw
-        .deck
-        .iter()
-        .map(|d| match d {
-            DeckValue::Int(v) => DeckVal::Int(*v),
-            DeckValue::Real(v) => DeckVal::Real(*v),
-        })
-        .collect();
+    let deck = &sw.deck;
 
     println!("component: {}  (SMALL deck, modeled 4-CPU machine)\n", c.label());
 
@@ -52,24 +44,24 @@ fn main() {
 
     // Execute the four versions.
     let rp = frontend(&sw.source).unwrap();
-    let serial = run(&rp, &deck, &ExecConfig { seg_words: seg, ..Default::default() }).unwrap();
+    let serial = run(&rp, deck, &ExecConfig::default()).unwrap();
     let ow = component(c, size, Variant::OpenMp);
     let rpo = frontend(&ow.source).unwrap();
     let omp = run(
         &rpo,
-        &deck,
-        &ExecConfig { mode: ExecMode::Manual, threads: 4, seg_words: seg, ..Default::default() },
+        deck,
+        &ExecConfig { mode: ExecMode::Manual, threads: 4, ..Default::default() },
     )
     .unwrap();
     let auto = run(
         &compiled.rp,
-        &deck,
-        &ExecConfig { mode: ExecMode::Auto, threads: 4, seg_words: seg, ..Default::default() },
+        deck,
+        &ExecConfig { mode: ExecMode::Auto, threads: 4, ..Default::default() },
     )
     .unwrap();
     let mw = component(c, size, Variant::Mpi);
     let rpm = frontend(&mw.source).unwrap();
-    let mpi = run_mpi(&rpm, &deck, 4, seg).unwrap();
+    let mpi = run_mpi(&rpm, deck, 4, &ExecConfig::default()).unwrap();
 
     println!("\nmodeled elapsed time (virtual seconds):");
     println!("  serial : {:>8.2}", serial.virt_seconds());

@@ -327,3 +327,71 @@ END
     // Column-major: F = [A(1,1),A(2,1),A(3,1),A(1,2),A(2,2),A(3,2)].
     assert_eq!(out, vec!["1.000000 4.000000 6.000000".to_string()]);
 }
+
+// Loop and address arithmetic at the edge of INTEGER: the interpreter's
+// own bookkeeping traps where it cannot be represented, and the loop
+// variable — a program value — wraps like any other integer expression.
+// Either way the answer is the same in every build profile.
+
+#[test]
+fn do_trip_count_that_does_not_fit_traps() {
+    let err = exec_err(
+        "PROGRAM P
+  DO I = -9223372036854775807, 9223372036854775807
+    K = I
+  ENDDO
+END
+",
+    );
+    assert_eq!(err, RtError::Trap("DO trip count overflows".to_string()));
+}
+
+#[test]
+fn loop_variable_wraps_like_integer_arithmetic() {
+    let out = exec(
+        "PROGRAM P
+  N = 0
+  DO I = 9223372036854775806, 9223372036854775807
+    N = N + 1
+  ENDDO
+  WRITE(*,*) N, I, 9223372036854775807 + 1
+END
+",
+    );
+    assert_eq!(
+        out,
+        vec!["2 -9223372036854775808 -9223372036854775808".to_string()]
+    );
+}
+
+#[test]
+fn subscript_arithmetic_overflow_traps() {
+    for (what, stmt) in [
+        ("base + offset", "A(9223372036854775807) = 1.0"),
+        ("subscript - lower", "A(-9223372036854775807 - 1) = 1.0"),
+        ("offset * stride", "B(1, 9223372036854775807) = 1.0"),
+        ("offset + offset", "X = B(4611686018427387904, 4611686018427387904)"),
+    ] {
+        let src = format!("PROGRAM P\n  REAL A(10), B(4, 4)\n  {}\nEND\n", stmt);
+        match exec_err(&src) {
+            RtError::Trap(m) => assert!(m.contains("subscript out of range"), "{}: {}", what, m),
+            other => panic!("{}: expected a trap, got {}", what, other),
+        }
+    }
+}
+
+#[test]
+fn array_extent_overflow_traps_on_activation() {
+    let err = exec_err(
+        "PROGRAM P
+  REAL W(8)
+  CALL S(W, 4000000000)
+END
+SUBROUTINE S(A, N)
+  REAL A(N, N, N)
+  A(1, 1, 1) = 1.0
+END
+",
+    );
+    assert_eq!(err, RtError::Trap("S: array extent overflows".to_string()));
+}

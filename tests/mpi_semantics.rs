@@ -4,16 +4,16 @@
 //! virtual-clock costs that make Figure 1's MPI bars meaningful.
 
 use autopar::minifort::frontend;
-use autopar::runtime::{run_mpi, run_mpi_cfg, ExecConfig, FaultPlan, MsgPat, RtError, RunResult};
+use autopar::runtime::{run_mpi, ExecConfig, FaultPlan, MsgPat, RtError, RunResult};
 
 fn mpi(src: &str, ranks: usize) -> RunResult {
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
-    run_mpi(&rp, &[], ranks, 1 << 18).unwrap_or_else(|e| panic!("{}", e))
+    run_mpi(&rp, &[], ranks, &ExecConfig::default()).unwrap_or_else(|e| panic!("{}", e))
 }
 
 fn mpi_err(src: &str, ranks: usize) -> RtError {
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
-    match run_mpi(&rp, &[], ranks, 1 << 18) {
+    match run_mpi(&rp, &[], ranks, &ExecConfig::default()) {
         Ok(r) => panic!("expected error, got output {:?}", r.output),
         Err(e) => e,
     }
@@ -24,11 +24,10 @@ fn mpi_err(src: &str, ranks: usize) -> RtError {
 fn mpi_err_quick(src: &str, ranks: usize) -> RtError {
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
     let cfg = ExecConfig {
-        seg_words: 1 << 18,
         mpi_timeout_ms: 250,
         ..Default::default()
     };
-    match run_mpi_cfg(&rp, &[], ranks, &cfg) {
+    match run_mpi(&rp, &[], ranks, &cfg) {
         Ok(r) => panic!("expected error, got output {:?}", r.output),
         Err(e) => e,
     }
@@ -533,11 +532,10 @@ END
     .unwrap_or_else(|e| panic!("{}", e));
     let run = |fault: FaultPlan| {
         let cfg = ExecConfig {
-            seg_words: 1 << 18,
             fault,
             ..Default::default()
         };
-        run_mpi_cfg(&rp, &[], 2, &cfg).unwrap_or_else(|e| panic!("{}", e))
+        run_mpi(&rp, &[], 2, &cfg).unwrap_or_else(|e| panic!("{}", e))
     };
     let base = run(FaultPlan::none());
     assert_eq!(base.output, vec!["GOT 3072.000000".to_string()]);

@@ -4,32 +4,14 @@
 
 use autopar::kernels::{datagen, fft, findiff, SeisParams, Strategy};
 use autopar::minifort::frontend;
-use autopar::runtime::{run, DeckVal, ExecConfig};
+use autopar::runtime::{run, ExecConfig};
 use autopar::workloads::seismic::{component, component_params, Component};
-use autopar::workloads::{DataSize, Variant, Workload};
-
-fn deck(w: &Workload) -> Vec<DeckVal> {
-    w.deck
-        .iter()
-        .map(|d| match d {
-            autopar::workloads::DeckValue::Int(v) => DeckVal::Int(*v),
-            autopar::workloads::DeckValue::Real(v) => DeckVal::Real(*v),
-        })
-        .collect()
-}
+use autopar::workloads::{DataSize, Variant};
 
 fn interpreted_line(c: Component, prefix: &str) -> f64 {
     let w = component(c, DataSize::Test, Variant::Serial);
     let rp = frontend(&w.source).expect("frontend");
-    let r = run(
-        &rp,
-        &deck(&w),
-        &ExecConfig {
-            seg_words: 1 << 21,
-            ..Default::default()
-        },
-    )
-    .expect("run");
+    let r = run(&rp, &w.deck, &ExecConfig::default()).expect("run");
     r.output
         .iter()
         .find(|l| l.starts_with(prefix))

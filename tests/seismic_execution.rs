@@ -5,19 +5,9 @@
 
 use autopar::core::{Compiler, CompilerProfile};
 use autopar::minifort::frontend;
-use autopar::runtime::{run, run_mpi, DeckVal, ExecConfig, ExecMode};
+use autopar::runtime::{run, run_mpi, ExecConfig, ExecMode};
 use autopar::workloads::seismic::{component, Component};
-use autopar::workloads::{DataSize, Variant, Workload};
-
-fn deck(w: &Workload) -> Vec<DeckVal> {
-    w.deck
-        .iter()
-        .map(|d| match d {
-            autopar::workloads::DeckValue::Int(v) => DeckVal::Int(*v),
-            autopar::workloads::DeckValue::Real(v) => DeckVal::Real(*v),
-        })
-        .collect()
-}
+use autopar::workloads::{DataSize, Variant};
 
 /// Extracts the numeric tokens of checksum lines.
 fn checksums(out: &[String]) -> Vec<f64> {
@@ -35,20 +25,11 @@ fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
 }
 
 fn run_component(c: Component) {
-    let seg = 1 << 21;
     // Serial reference.
     let serial_w = component(c, DataSize::Test, Variant::Serial);
     let rp = frontend(&serial_w.source).expect("frontend");
-    let serial = run(
-        &rp,
-        &deck(&serial_w),
-        &ExecConfig {
-            mode: ExecMode::Serial,
-            seg_words: seg,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{:?} serial: {}", c, e));
+    let serial = run(&rp, &serial_w.deck, &ExecConfig::default())
+        .unwrap_or_else(|e| panic!("{:?} serial: {}", c, e));
     let reference = checksums(&serial.output);
     assert!(!reference.is_empty(), "{:?}: no checksums", c);
 
@@ -57,11 +38,10 @@ fn run_component(c: Component) {
     let rp_omp = frontend(&omp_w.source).expect("frontend omp");
     let omp = run(
         &rp_omp,
-        &deck(&omp_w),
+        &omp_w.deck,
         &ExecConfig {
             mode: ExecMode::Manual,
             check_races: true,
-            seg_words: seg,
             ..Default::default()
         },
     )
@@ -83,12 +63,11 @@ fn run_component(c: Component) {
             .unwrap_or_else(|e| panic!("{:?} compile: {}", c, e));
         let auto = run(
             &compiled.rp,
-            &deck(&serial_w),
+            &serial_w.deck,
             &ExecConfig {
                 mode: ExecMode::Auto,
                 check_races: true,
-                seg_words: seg,
-                ..Default::default()
+                    ..Default::default()
             },
         )
         .unwrap_or_else(|e| panic!("{:?} auto({}): {}", c, name, e));
@@ -106,7 +85,7 @@ fn run_component(c: Component) {
     // reduced energy/sum lines).
     let mpi_w = component(c, DataSize::Test, Variant::Mpi);
     let rp_mpi = frontend(&mpi_w.source).expect("frontend mpi");
-    let mpi = run_mpi(&rp_mpi, &deck(&mpi_w), 4, seg)
+    let mpi = run_mpi(&rp_mpi, &mpi_w.deck, 4, &ExecConfig::default())
         .unwrap_or_else(|e| panic!("{:?} mpi: {}", c, e));
     assert!(
         !checksums(&mpi.output).is_empty(),
@@ -140,18 +119,9 @@ fn findiff_all_versions_agree() {
 /// independent result).
 #[test]
 fn findiff_mpi_matches_serial_energy() {
-    let seg = 1 << 21;
     let w = component(Component::FinDiff, DataSize::Test, Variant::Serial);
     let rp = frontend(&w.source).unwrap();
-    let serial = run(
-        &rp,
-        &deck(&w),
-        &ExecConfig {
-            seg_words: seg,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let serial = run(&rp, &w.deck, &ExecConfig::default()).unwrap();
     // Serial prints "FDE <energy>" via SEISOUT.
     let serial_e: f64 = serial
         .output
@@ -162,7 +132,7 @@ fn findiff_mpi_matches_serial_energy() {
         .expect("serial energy");
     let mw = component(Component::FinDiff, DataSize::Test, Variant::Mpi);
     let rp_m = frontend(&mw.source).unwrap();
-    let mpi = run_mpi(&rp_m, &deck(&mw), 4, seg).unwrap();
+    let mpi = run_mpi(&rp_m, &mw.deck, 4, &ExecConfig::default()).unwrap();
     let mpi_e: f64 = mpi
         .output
         .iter()

@@ -209,7 +209,7 @@ fn workload_suites_run_correctly_under_speculation() {
     // compiled with the runtime test enabled must still produce the
     // serial output under Auto — with dozens of speculative regions
     // committing or rolling back along the way.
-    use autopar::workloads::{DataSize, DeckValue};
+    use autopar::workloads::DataSize;
     let suites = vec![
         autopar::workloads::gamess::suite(DataSize::Test),
         autopar::workloads::sander::suite(DataSize::Test),
@@ -219,14 +219,6 @@ fn workload_suites_run_correctly_under_speculation() {
         ),
     ];
     for w in suites {
-        let deck: Vec<autopar::runtime::DeckVal> = w
-            .deck
-            .iter()
-            .map(|d| match d {
-                DeckValue::Int(v) => autopar::runtime::DeckVal::Int(*v),
-                DeckValue::Real(v) => autopar::runtime::DeckVal::Real(*v),
-            })
-            .collect();
         let r = Compiler::new(CompilerProfile::polaris2008().with_runtime_test())
             .compile_source(&w.name, &w.source)
             .unwrap_or_else(|e| panic!("{}: {}", w.name, e));
@@ -235,18 +227,14 @@ fn workload_suites_run_correctly_under_speculation() {
             "{}: expected speculative loops",
             w.name
         );
-        let big = ExecConfig {
-            seg_words: 1 << 21,
-            ..Default::default()
-        };
-        let ser = run(&r.rp, &deck, &big).unwrap_or_else(|e| panic!("{}: {}", w.name, e));
+        let ser = run(&r.rp, &w.deck, &ExecConfig::default())
+            .unwrap_or_else(|e| panic!("{}: {}", w.name, e));
         let par = run(
             &r.rp,
-            &deck,
+            &w.deck,
             &ExecConfig {
                 mode: ExecMode::Auto,
                 threads: 4,
-                seg_words: 1 << 21,
                 ..Default::default()
             },
         )

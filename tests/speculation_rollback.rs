@@ -7,7 +7,7 @@ use apar_minicheck::forall;
 use autopar::core::{CompileResult, Compiler, CompilerProfile};
 use autopar::minifort::frontend;
 use autopar::runtime::{
-    run, run_mpi_cfg, ExecConfig, ExecMode, FaultPlan, MsgPat, RtError, RunResult,
+    run, run_mpi, ExecConfig, ExecMode, FaultPlan, MsgPat, RtError, RunResult,
 };
 
 /// Independent gather through an index array: clean data, so only an
@@ -151,12 +151,11 @@ END
 ";
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
     let cfg = ExecConfig {
-        seg_words: 1 << 18,
         mpi_timeout_ms: 250,
         fault: FaultPlan::none().kill_rank(1, 0),
         ..Default::default()
     };
-    let err = run_mpi_cfg(&rp, &[], 4, &cfg).expect_err("killed rank must fail the world");
+    let err = run_mpi(&rp, &[], 4, &cfg).expect_err("killed rank must fail the world");
     match err {
         RtError::RankKilled { rank } => assert_eq!(rank, 1),
         other => panic!("expected RankKilled, got {}", other),
@@ -181,12 +180,11 @@ END
 ";
     let rp = frontend(src).unwrap_or_else(|e| panic!("{}", e));
     let cfg = ExecConfig {
-        seg_words: 1 << 18,
         mpi_timeout_ms: 250,
         fault: FaultPlan::none().drop_message(MsgPat::any().with_tag(5)),
         ..Default::default()
     };
-    let err = run_mpi_cfg(&rp, &[], 2, &cfg).expect_err("lost message must not hang");
+    let err = run_mpi(&rp, &[], 2, &cfg).expect_err("lost message must not hang");
     assert!(matches!(err, RtError::Deadlock(_)), "{}", err);
     let msg = format!("{}", err);
     assert!(msg.contains("rank 0") && msg.contains("tag=5"), "{}", msg);

@@ -6,30 +6,13 @@
 use autopar::core::{Compiler, CompilerProfile};
 use autopar::minifort::frontend;
 use autopar::runtime::{run, DeckVal, ExecConfig, ExecMode};
-use autopar::workloads::{DataSize, DeckValue, Workload};
-
-fn deck(w: &Workload) -> Vec<DeckVal> {
-    w.deck
-        .iter()
-        .map(|d| match d {
-            DeckValue::Int(v) => DeckVal::Int(*v),
-            DeckValue::Real(v) => DeckVal::Real(*v),
-        })
-        .collect()
-}
+use autopar::workloads::{DataSize, Workload};
 
 fn serial(w: &Workload) -> Vec<String> {
     let rp = frontend(&w.source).expect("frontend");
-    run(
-        &rp,
-        &deck(w),
-        &ExecConfig {
-            seg_words: 1 << 21,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{}: {}", w.name, e))
-    .output
+    run(&rp, &w.deck, &ExecConfig::default())
+        .unwrap_or_else(|e| panic!("{}: {}", w.name, e))
+        .output
 }
 
 #[test]
@@ -52,18 +35,9 @@ fn gamess_dispatch_reacts_to_wavefunction_choice() {
     let mut energies = Vec::new();
     for scftyp in [1i64, 2, 4, 5] {
         let rp = frontend(&w.source).expect("frontend");
-        let mut d = deck(&w);
+        let mut d = w.deck.clone();
         d[0] = DeckVal::Int(scftyp);
-        let out = run(
-            &rp,
-            &d,
-            &ExecConfig {
-                seg_words: 1 << 21,
-                ..Default::default()
-            },
-        )
-        .expect("run")
-        .output;
+        let out = run(&rp, &d, &ExecConfig::default()).expect("run").output;
         let e: f64 = out
             .iter()
             .find(|l| l.starts_with("ENERGY"))
@@ -90,11 +64,10 @@ fn gamess_auto_parallel_matches_serial() {
             .expect("compile");
         let out = run(
             &r.rp,
-            &deck(&w),
+            &w.deck,
             &ExecConfig {
                 mode: ExecMode::Auto,
                 check_races: true,
-                seg_words: 1 << 21,
                 ..Default::default()
             },
         )
@@ -110,18 +83,9 @@ fn sander_md_vs_minimization_dispatch() {
     let md = serial(&w);
     assert!(md.iter().any(|l| l.starts_with("EK")));
     let rp = frontend(&w.source).expect("frontend");
-    let mut d = deck(&w);
+    let mut d = w.deck.clone();
     d[0] = DeckVal::Int(1);
-    let min = run(
-        &rp,
-        &d,
-        &ExecConfig {
-            seg_words: 1 << 21,
-            ..Default::default()
-        },
-    )
-    .expect("run")
-    .output;
+    let min = run(&rp, &d, &ExecConfig::default()).expect("run").output;
     assert!(!min.iter().any(|l| l.starts_with("EK")), "{:?}", min);
     assert!(min.iter().any(|l| l.starts_with("EP")));
 }
@@ -135,11 +99,10 @@ fn sander_auto_parallel_matches_serial() {
         .expect("compile");
     let out = run(
         &r.rp,
-        &deck(&w),
+        &w.deck,
         &ExecConfig {
             mode: ExecMode::Auto,
             check_races: true,
-            seg_words: 1 << 21,
             ..Default::default()
         },
     )

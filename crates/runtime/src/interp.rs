@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use apar_minifort::ast::{BinOp, RedOp, Schedule};
@@ -24,6 +24,7 @@ use apar_minifort::{ResolvedProgram, Ty};
 
 use crate::checkpoint::{Checkpoint, CheckpointKind};
 use crate::fault::FaultPlan;
+use crate::intrinsics::Intr;
 use crate::memory::{Arena, BumpStack, Cell};
 use crate::mpi::MpiEnv;
 use crate::rprog::*;
@@ -198,7 +199,17 @@ pub const SPEC_MONITOR_COST: u64 = 2;
 /// Conversion used by the figure harnesses: virtual ops per modeled
 /// second (calibrated to this interpreter's own serial throughput, so
 /// virtual seconds are comparable to wall seconds of the serial run).
+/// Deliberately not recalibrated when the interpreter gets faster:
+/// virtual time changes only on purpose.
 pub const OPS_PER_SECOND: f64 = 25_000_000.0;
+/// Deepest chain of MiniFort activations (the main program counts) one
+/// run may hold; one call more fails it with [`RtError::StackOverflow`].
+/// Each call nests the interpreter 1–1.6 KB deeper on the host stack in
+/// an optimised build and 13–20 KB in an unoptimised one, so this bound,
+/// not the host, decides where a runaway recursion stops: 64 levels fit
+/// a 2 MiB thread in either. Fortran 77 has no recursion; the suites'
+/// deepest chain is 5.
+pub const MAX_CALL_DEPTH: usize = 64;
 
 impl RunResult {
     /// Virtual time in modeled seconds.
@@ -224,7 +235,12 @@ pub(crate) fn run_lowered(
     cfg: &ExecConfig,
     mpi: Option<MpiEnv<'_>>,
 ) -> Result<RunResult, RtError> {
-    let segments = cfg.threads + 1;
+    // One stack per thread that can run: workers fork only outside
+    // serial mode.
+    let segments = match cfg.mode {
+        ExecMode::Serial => 1,
+        ExecMode::Manual | ExecMode::Auto => cfg.threads + 1,
+    };
     let arena = Arena::new(prog.commons_total, segments, cfg.seg_words);
     for (base, values) in &prog.common_data {
         for (k, v) in values.iter().enumerate() {
@@ -245,7 +261,9 @@ pub(crate) fn run_lowered(
     let t0 = Instant::now();
     let mut ex = Exec {
         sh: &shared,
+        arena: &arena,
         stack: BumpStack::new(arena.segment_base(0), cfg.seg_words),
+        depth: 0,
         in_parallel: false,
         race: None,
         mpi,
@@ -284,7 +302,7 @@ struct Shared<'p> {
 
 /// Per-activation resolved addressing.
 #[derive(Clone)]
-struct Frame<'p> {
+pub(crate) struct Frame<'p> {
     unit: &'p RUnit,
     scalars: Vec<usize>,
     arrays: Vec<ArrDesc>,
@@ -331,7 +349,11 @@ struct WorkerOut {
 
 pub(crate) struct Exec<'p, 's> {
     sh: &'s Shared<'p>,
+    /// `sh.arena`, one load closer for the hot path.
+    arena: &'p Arena,
     stack: BumpStack,
+    /// Active MiniFort calls on this thread's chain.
+    depth: usize,
     in_parallel: bool,
     race: Option<RaceLog>,
     pub(crate) mpi: Option<MpiEnv<'s>>,
@@ -342,25 +364,40 @@ pub(crate) struct Exec<'p, 's> {
 impl<'p, 's> Exec<'p, 's> {
     #[inline]
     fn rd(&mut self, addr: usize) -> Result<Cell, RtError> {
-        if addr >= self.sh.arena.total_len() {
-            return Err(RtError::Trap(format!("address {} out of range", addr)));
+        let Some(v) = self.arena.get(addr) else {
+            return Err(bad_address(addr));
+        };
+        if self.race.is_some() {
+            self.log_read(addr);
         }
-        if let Some(r) = &mut self.race {
-            r.reads.insert(addr);
-        }
-        Ok(self.sh.arena.read(addr))
+        Ok(v)
     }
 
     #[inline]
     fn wr(&mut self, addr: usize, v: Cell) -> Result<(), RtError> {
-        if addr >= self.sh.arena.total_len() {
-            return Err(RtError::Trap(format!("address {} out of range", addr)));
+        if !self.arena.set(addr, v) {
+            return Err(bad_address(addr));
         }
+        if self.race.is_some() {
+            self.log_write(addr);
+        }
+        Ok(())
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn log_read(&mut self, addr: usize) {
+        if let Some(r) = &mut self.race {
+            r.reads.insert(addr);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn log_write(&mut self, addr: usize) {
         if let Some(r) = &mut self.race {
             r.writes.insert(addr);
         }
-        self.sh.arena.write(addr, v);
-        Ok(())
     }
 
     fn trap(&self, msg: impl Into<String>) -> RtError {
@@ -379,8 +416,7 @@ impl<'p, 's> Exec<'p, 's> {
                 actuals.len()
             )));
         }
-        let frame = self.activate(unit, actuals)?;
-        let flow = self.exec_block(&frame, &unit.body)?;
+        let (frame, flow) = self.invoke(unit, actuals)?;
         self.stack.release_to(frame.mark);
         Ok(match flow {
             Flow::Stop => Flow::Stop,
@@ -394,8 +430,7 @@ impl<'p, 's> Exec<'p, 's> {
         let Some(fn_slot) = unit.fn_slot else {
             return Err(self.trap(format!("{} is not a function", unit.name)));
         };
-        let frame = self.activate(unit, actuals)?;
-        let flow = self.exec_block(&frame, &unit.body)?;
+        let (frame, flow) = self.invoke(unit, actuals)?;
         if flow == Flow::Stop {
             return Err(self.trap("STOP inside function"));
         }
@@ -408,6 +443,19 @@ impl<'p, 's> Exec<'p, 's> {
         let v = self.rd(ret_addr)?;
         self.stack.release_to(frame.mark);
         Ok(v)
+    }
+
+    /// Activates `unit` one call deeper and runs its body, or fails
+    /// past [`MAX_CALL_DEPTH`]. The caller releases the frame.
+    fn invoke(&mut self, unit: &'p RUnit, actuals: &[usize]) -> Result<(Frame<'p>, Flow), RtError> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(RtError::StackOverflow);
+        }
+        let frame = self.activate(unit, actuals)?;
+        self.depth += 1;
+        let flow = self.exec_block(&frame, &unit.body);
+        self.depth -= 1;
+        Ok((frame, flow?))
     }
 
     fn activate(&mut self, unit: &'p RUnit, actuals: &[usize]) -> Result<Frame<'p>, RtError> {
@@ -748,27 +796,62 @@ impl<'p, 's> Exec<'p, 's> {
         Ok((bound, temps_mark))
     }
 
-    fn elem_addr(&mut self, f: &Frame<'p>, aid: ArrId, subs: &[RExpr]) -> Result<usize, RtError> {
-        let desc = f.arrays[aid as usize];
+    /// The address of element `subs` of array `aid`, `None` when the
+    /// arithmetic overflows. Subscripts are evaluated in order, each
+    /// checked against the rank after it is evaluated.
+    fn elem_at<T: Fetch>(
+        &mut self,
+        f: &Frame<'p>,
+        aid: ArrId,
+        subs: &[T],
+    ) -> Result<Option<i64>, RtError> {
+        let desc = &f.arrays[aid as usize];
         let mut off: i64 = 0;
         for (k, sub) in subs.iter().enumerate() {
-            let sv = self.eval(f, sub)?.as_int();
+            let sv = sub.fetch(self, f)?.as_int();
             if k >= desc.rank as usize {
-                return Err(self.trap("too many subscripts"));
+                return Err(too_many_subscripts());
             }
-            off = sv
+            match sv
                 .checked_sub(desc.lo[k])
                 .and_then(|d| d.checked_mul(desc.stride[k]))
                 .and_then(|term| off.checked_add(term))
-                .ok_or_else(|| self.trap("subscript out of range (address overflows)"))?;
+            {
+                Some(o) => off = o,
+                None => return Ok(None),
+            }
         }
-        match (desc.base as i64).checked_add(off) {
-            Some(addr) if addr >= 0 && (addr as usize) < self.sh.arena.total_len() => {
+        Ok((desc.base as i64).checked_add(off))
+    }
+
+    fn elem_addr<T: Fetch>(
+        &mut self,
+        f: &Frame<'p>,
+        aid: ArrId,
+        subs: &[T],
+    ) -> Result<usize, RtError> {
+        match self.elem_at(f, aid, subs)? {
+            Some(addr) if addr >= 0 && (addr as usize) < self.arena.total_len() => {
                 Ok(addr as usize)
             }
-            Some(addr) => Err(self.trap(format!("subscript out of range (addr {})", addr))),
-            None => Err(self.trap("subscript out of range (address overflows)")),
+            at => Err(bad_subscript(at)),
         }
+    }
+
+    /// Reads the element at `at` (from [`Exec::elem_at`]): the arena's
+    /// bounds check is the subscript check.
+    #[inline]
+    fn rd_elem(&mut self, at: Option<i64>) -> Result<Cell, RtError> {
+        let Some(addr) = at.and_then(|a| usize::try_from(a).ok()) else {
+            return Err(bad_subscript(at));
+        };
+        let Some(v) = self.arena.get(addr) else {
+            return Err(bad_subscript(at));
+        };
+        if self.race.is_some() {
+            self.log_read(addr);
+        }
+        Ok(v)
     }
 
     fn store(&mut self, f: &Frame<'p>, lv: &RLval, v: Cell) -> Result<(), RtError> {
@@ -826,6 +909,7 @@ impl<'p, 's> Exec<'p, 's> {
 
         let check = self.sh.cfg.check_races || force_check;
         let sh = self.sh;
+        let depth = self.depth;
         let results: Vec<Result<WorkerOut, RtError>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for w in 0..nthreads {
@@ -851,10 +935,12 @@ impl<'p, 's> Exec<'p, 's> {
                     }
                     let mut ex = Exec {
                             sh,
+                            arena: sh.arena,
                             stack: BumpStack::new(
                                 sh.arena.segment_base(w + 1),
                                 sh.cfg.seg_words,
                             ),
+                            depth,
                             in_parallel: true,
                             race: check.then(RaceLog::default),
                             mpi,
@@ -1094,52 +1180,11 @@ impl<'p, 's> Exec<'p, 's> {
 
     // ---------------- expressions ----------------
 
+    /// Charges an expression's entry cost and runs its code.
+    #[inline]
     fn eval(&mut self, f: &Frame<'p>, e: &RExpr) -> Result<Cell, RtError> {
-        self.virt += 1;
-        Ok(match e {
-            RExpr::Ci(v) => Cell::Int(*v),
-            RExpr::Cr(v) => Cell::Real(*v),
-            RExpr::LoadS(id) => self.rd(f.scalars[*id as usize])?,
-            RExpr::LoadA(id, subs) => {
-                let addr = self.elem_addr(f, *id, subs)?;
-                self.rd(addr)?
-            }
-            RExpr::Bin(op, l, r) => {
-                let a = self.eval(f, l)?;
-                let b = self.eval(f, r)?;
-                bin_op(*op, a, b)
-            }
-            RExpr::Neg(i) => match self.eval(f, i)? {
-                Cell::Int(v) => Cell::Int(-v),
-                other => Cell::Real(-other.as_real()),
-            },
-            RExpr::Not(i) => Cell::Int((self.eval(f, i)?.as_int() == 0) as i64),
-            RExpr::Intr(intr, args) => {
-                self.virt += 3;
-                // Lowering does not validate intrinsic arity; `apply`
-                // indexes its argument list, so check here and trap
-                // instead of panicking on a malformed call.
-                if args.len() < intr.min_args() {
-                    return Err(self.trap(format!(
-                        "{:?}: expected at least {} argument(s), got {}",
-                        intr,
-                        intr.min_args(),
-                        args.len()
-                    )));
-                }
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(f, a)?);
-                }
-                intr.apply(&vals)
-            }
-            RExpr::CallF(uid, actuals) => {
-                let (bound, mark) = self.bind_actuals(f, actuals)?;
-                let v = self.call_function(*uid, &bound)?;
-                self.stack.release_to(mark);
-                v
-            }
-        })
+        self.virt += e.cost;
+        (e.code)(self, f)
     }
 
     /// Raw cell read for the MPI builtins.
@@ -1151,6 +1196,329 @@ impl<'p, 's> Exec<'p, 's> {
     pub(crate) fn poke(&mut self, addr: usize, v: Cell) -> Result<(), RtError> {
         self.wr(addr, v)
     }
+
+    /// Words of memory, for the MPI builtins' buffer checks.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.arena.total_len()
+    }
+}
+
+#[cold]
+fn bad_address(addr: usize) -> RtError {
+    RtError::Trap(format!("address {} out of range", addr))
+}
+
+#[cold]
+fn bad_subscript(at: Option<i64>) -> RtError {
+    RtError::Trap(match at {
+        Some(addr) => format!("subscript out of range (addr {})", addr),
+        None => "subscript out of range (address overflows)".into(),
+    })
+}
+
+#[cold]
+fn too_many_subscripts() -> RtError {
+    RtError::Trap("too many subscripts".into())
+}
+
+// ---------------- expression compiler ----------------
+
+/// Compiled expression code: evaluates against one activation.
+pub(crate) type Code =
+    Arc<dyn for<'p, 's> Fn(&mut Exec<'p, 's>, &Frame<'p>) -> Result<Cell, RtError> + Send + Sync>;
+
+fn code<F>(f: F) -> Code
+where
+    F: for<'p, 's> Fn(&mut Exec<'p, 's>, &Frame<'p>) -> Result<Cell, RtError>
+        + Send
+        + Sync
+        + 'static,
+{
+    Arc::new(f)
+}
+
+/// Where a compiled closure gets an operand's value from.
+trait Fetch: Send + Sync + 'static {
+    fn fetch<'p>(&self, ex: &mut Exec<'p, '_>, f: &Frame<'p>) -> Result<Cell, RtError>;
+}
+
+/// A constant, fetched in place.
+struct Lit(Cell);
+
+/// A scalar slot, fetched in place.
+struct Slot(ScalarId);
+
+impl Fetch for Lit {
+    #[inline(always)]
+    fn fetch<'p>(&self, _: &mut Exec<'p, '_>, _: &Frame<'p>) -> Result<Cell, RtError> {
+        Ok(self.0)
+    }
+}
+
+impl Fetch for Slot {
+    #[inline(always)]
+    fn fetch<'p>(&self, ex: &mut Exec<'p, '_>, f: &Frame<'p>) -> Result<Cell, RtError> {
+        ex.rd(f.scalars[self.0 as usize])
+    }
+}
+
+/// A call-free subtree: its parent charged its cost.
+impl Fetch for Code {
+    #[inline(always)]
+    fn fetch<'p>(&self, ex: &mut Exec<'p, '_>, f: &Frame<'p>) -> Result<Cell, RtError> {
+        self(ex, f)
+    }
+}
+
+/// A subtree that charges its own cost: an operand of a node whose
+/// tree calls a FUNCTION.
+impl Fetch for RExpr {
+    #[inline(always)]
+    fn fetch<'p>(&self, ex: &mut Exec<'p, '_>, f: &Frame<'p>) -> Result<Cell, RtError> {
+        ex.eval(f, self)
+    }
+}
+
+/// A compiled operand before its fetch is chosen.
+enum Operand {
+    Lit(Cell),
+    Slot(ScalarId),
+    Expr(RExpr),
+}
+
+impl Operand {
+    /// What fetching it costs.
+    fn cost(&self) -> u64 {
+        match self {
+            Operand::Expr(e) => e.cost,
+            Operand::Lit(_) | Operand::Slot(_) => 1,
+        }
+    }
+
+    fn has_call(&self) -> bool {
+        matches!(self, Operand::Expr(e) if e.has_call)
+    }
+
+    /// As an expression that charges its own cost.
+    fn charged(self) -> RExpr {
+        let code = match self {
+            Operand::Lit(c) => code(move |_, _| Ok(c)),
+            Operand::Slot(id) => code(move |ex, f| Slot(id).fetch(ex, f)),
+            Operand::Expr(e) => return e,
+        };
+        RExpr {
+            cost: 1,
+            has_call: false,
+            code,
+        }
+    }
+}
+
+/// A call-free operand: its parent charged its cost.
+impl Fetch for Operand {
+    #[inline]
+    fn fetch<'p>(&self, ex: &mut Exec<'p, '_>, f: &Frame<'p>) -> Result<Cell, RtError> {
+        match self {
+            Operand::Lit(c) => Ok(*c),
+            Operand::Slot(id) => Slot(*id).fetch(ex, f),
+            Operand::Expr(e) => (e.code)(ex, f),
+        }
+    }
+}
+
+/// Binds `$x` to a call-free operand's concrete fetch, so the closure
+/// `$body` builds is specialised to it.
+macro_rules! typed {
+    ($o:expr, |$x:ident| $body:expr) => {
+        match $o {
+            Operand::Lit(c) => {
+                let $x = Lit(c);
+                $body
+            }
+            Operand::Slot(id) => {
+                let $x = Slot(id);
+                $body
+            }
+            Operand::Expr(e) => {
+                let $x = e.code;
+                $body
+            }
+        }
+    };
+}
+
+/// Compiles a lowered expression tree: each node becomes a closure
+/// specialised to its operator and to its operands' kinds, and the
+/// virtual cost of a call-free tree is charged once, on entry (see
+/// [`RExpr`]). This is the only place that looks at tree nodes.
+pub(crate) fn compile(node: Node) -> RExpr {
+    fn operand(n: Node) -> Operand {
+        match n {
+            Node::Lit(c) => Operand::Lit(c),
+            Node::LoadS(id) => Operand::Slot(id),
+            n => Operand::Expr(compile(n)),
+        }
+    }
+    // Charged on entry: everything when no operand calls a FUNCTION,
+    // the node's own cost otherwise.
+    let entry = |own: u64, ops: &[Operand]| -> (u64, bool) {
+        if ops.iter().any(Operand::has_call) {
+            (own, true)
+        } else {
+            (own + ops.iter().map(Operand::cost).sum::<u64>(), false)
+        }
+    };
+    let each_charged =
+        |ops: Vec<Operand>| -> Vec<RExpr> { ops.into_iter().map(Operand::charged).collect() };
+    let (cost, has_call, code) = match node {
+        Node::Lit(c) => return Operand::Lit(c).charged(),
+        Node::LoadS(id) => return Operand::Slot(id).charged(),
+        Node::LoadA(aid, subs) => {
+            let mut subs: Vec<Operand> = subs.into_iter().map(operand).collect();
+            let (cost, has_call) = entry(1, &subs);
+            let code = if has_call {
+                load(aid, each_charged(subs))
+            } else if subs.len() == 1 {
+                typed!(subs.remove(0), |s| load1(aid, s))
+            } else {
+                load(aid, subs)
+            };
+            (cost, has_call, code)
+        }
+        Node::Bin(op, l, r) => {
+            let ops = [operand(*l), operand(*r)];
+            let (cost, has_call) = entry(1, &ops);
+            let [l, r] = ops;
+            let code = if has_call {
+                binary(op, l.charged(), r.charged())
+            } else {
+                typed!(l, |a| typed!(r, |b| binary(op, a, b)))
+            };
+            (cost, has_call, code)
+        }
+        Node::Neg(i) => {
+            let i = operand(*i);
+            let (cost, has_call) = entry(1, std::slice::from_ref(&i));
+            let code = if has_call { neg(i.charged()) } else { neg(i) };
+            (cost, has_call, code)
+        }
+        Node::Not(i) => {
+            let i = operand(*i);
+            let (cost, has_call) = entry(1, std::slice::from_ref(&i));
+            let code = if has_call { not(i.charged()) } else { not(i) };
+            (cost, has_call, code)
+        }
+        Node::Intr(intr, args) => {
+            let args: Vec<Operand> = args.into_iter().map(operand).collect();
+            let (cost, has_call) = entry(4, &args);
+            // Lowering does not validate intrinsic arity, and `apply`
+            // indexes its argument list: a short call traps instead.
+            let code = if args.len() < intr.min_args() {
+                let msg = format!(
+                    "{:?}: expected at least {} argument(s), got {}",
+                    intr,
+                    intr.min_args(),
+                    args.len()
+                );
+                code(move |_, _| Err(RtError::Trap(msg.clone())))
+            } else if has_call {
+                intrinsic(intr, each_charged(args))
+            } else {
+                intrinsic(intr, args)
+            };
+            (cost, has_call, code)
+        }
+        Node::CallF(uid, actuals) => (1, true, call(uid, actuals)),
+    };
+    RExpr {
+        cost,
+        has_call,
+        code,
+    }
+}
+
+/// `l op r`, the operator folded in.
+fn binary<L: Fetch, R: Fetch>(op: BinOp, l: L, r: R) -> Code {
+    macro_rules! fold {
+        ($($v:ident)*) => {
+            match op {
+                $(BinOp::$v => code(move |ex, f| {
+                    let a = l.fetch(ex, f)?;
+                    let b = r.fetch(ex, f)?;
+                    Ok(bin_op(BinOp::$v, a, b))
+                }),)*
+            }
+        };
+    }
+    fold!(Add Sub Mul Div Pow Eq Ne Lt Le Gt Ge And Or)
+}
+
+fn neg<T: Fetch>(x: T) -> Code {
+    code(move |ex, f| {
+        Ok(match x.fetch(ex, f)? {
+            Cell::Int(v) => Cell::Int(-v),
+            other => Cell::Real(-other.as_real()),
+        })
+    })
+}
+
+fn not<T: Fetch>(x: T) -> Code {
+    code(move |ex, f| Ok(Cell::Int((x.fetch(ex, f)?.as_int() == 0) as i64)))
+}
+
+/// A one-subscript array load: the arena's bounds check is the only one.
+fn load1<T: Fetch>(aid: ArrId, sub: T) -> Code {
+    code(move |ex, f| {
+        let sv = sub.fetch(ex, f)?.as_int();
+        let d = &f.arrays[aid as usize];
+        if d.rank == 0 {
+            return Err(too_many_subscripts());
+        }
+        let at = sv
+            .checked_sub(d.lo[0])
+            .and_then(|o| o.checked_mul(d.stride[0]))
+            .and_then(|o| (d.base as i64).checked_add(o));
+        ex.rd_elem(at)
+    })
+}
+
+fn load<T: Fetch>(aid: ArrId, subs: Vec<T>) -> Code {
+    code(move |ex, f| {
+        let at = ex.elem_at(f, aid, &subs)?;
+        ex.rd_elem(at)
+    })
+}
+
+/// Intrinsic arguments are evaluated into a fixed buffer; only a call
+/// with more arguments than it holds (a long MIN or MAX) takes a `Vec`.
+fn intrinsic<T: Fetch>(intr: Intr, args: Vec<T>) -> Code {
+    const ARGS: usize = 4;
+    if args.len() <= ARGS {
+        code(move |ex, f| {
+            let mut vals = [Cell::Uninit; ARGS];
+            for (v, a) in vals.iter_mut().zip(&args) {
+                *v = a.fetch(ex, f)?;
+            }
+            Ok(intr.apply(&vals[..args.len()]))
+        })
+    } else {
+        code(move |ex, f| {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in &args {
+                vals.push(a.fetch(ex, f)?);
+            }
+            Ok(intr.apply(&vals))
+        })
+    }
+}
+
+fn call(uid: UnitId, actuals: Vec<RActual>) -> Code {
+    code(move |ex, f| {
+        let (bound, mark) = ex.bind_actuals(f, &actuals)?;
+        let v = ex.call_function(uid, &bound)?;
+        ex.stack.release_to(mark);
+        Ok(v)
+    })
 }
 
 /// Does a lowered body contain any CALL statement or function call?
@@ -1158,14 +1526,7 @@ impl<'p, 's> Exec<'p, 's> {
 /// name, so its presence forces the full-checkpoint fallback.
 fn body_has_calls(body: &[RStmt]) -> bool {
     fn expr(e: &RExpr) -> bool {
-        match e {
-            RExpr::CallF(..) => true,
-            RExpr::Ci(_) | RExpr::Cr(_) | RExpr::LoadS(_) => false,
-            RExpr::LoadA(_, subs) => subs.iter().any(expr),
-            RExpr::Bin(_, l, r) => expr(l) || expr(r),
-            RExpr::Neg(i) | RExpr::Not(i) => expr(i),
-            RExpr::Intr(_, args) => args.iter().any(expr),
-        }
+        e.has_call
     }
     fn lval(lv: &RLval) -> bool {
         match lv {
@@ -1247,6 +1608,7 @@ fn red_combine(op: RedOp, a: Cell, b: Cell) -> Cell {
     }
 }
 
+#[inline(always)]
 fn bin_op(op: BinOp, a: Cell, b: Cell) -> Cell {
     use BinOp::*;
     match op {

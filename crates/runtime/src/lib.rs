@@ -1,18 +1,20 @@
 //! The MiniFort execution substrate.
 //!
 //! The paper measures wall-clock speedups of four program versions on a
-//! 4-processor machine (Figure 1). This crate supplies the machine: a
-//! tree-walking interpreter whose parallel loops execute on real OS
+//! 4-processor machine (Figure 1). This crate supplies the machine: an
+//! interpreter (expressions compiled to closures once, statements
+//! walked as a tree) whose parallel loops execute on real OS
 //! threads over shared memory, with fork/join overhead genuinely
 //! incurred per parallel region — the mechanism behind the paper's
 //! observation that Polaris's inner-loop parallelization *loses* time.
 //!
 //! * [`rprog`] — lowers a resolved program to a slot-addressed runtime
-//!   form (no name lookups on the hot path).
+//!   form (no name lookups on the hot path), compiling each expression.
 //! * [`memory`] — one shared cell arena: COMMON blocks plus per-thread
 //!   activation stacks; Fortran storage association is preserved because
 //!   offsets come straight from the resolver.
-//! * [`interp`] — the interpreter: serial execution, `!$OMP`-driven
+//! * [`interp`] — the interpreter and the expression compiler: serial
+//!   execution under a call-depth cap, `!$OMP`-driven
 //!   (manual) or `auto_par`-driven (compiler) parallel loops with
 //!   private/lastprivate/reduction handling, and an optional dynamic
 //!   race checker that validates the static analysis.
@@ -39,7 +41,7 @@ pub mod rprog;
 pub use fault::{FaultPlan, MsgPat};
 pub use interp::{
     run, ExecConfig, ExecMode, RtError, RunResult, FORK_REGION_COST, FORK_THREAD_COST,
-    OPS_PER_SECOND, SPEC_MONITOR_COST,
+    MAX_CALL_DEPTH, OPS_PER_SECOND, SPEC_MONITOR_COST,
 };
 pub use mpi::run_mpi;
 pub use rprog::RProgram;

@@ -100,15 +100,39 @@ impl Arena {
         }
     }
 
+    /// The cell at `addr`; panics past the end.
     #[inline]
     pub fn read(&self, addr: usize) -> Cell {
-        unsafe { *self.cells[addr].get() }
+        self.get(addr).expect("arena address in range")
     }
 
+    /// Stores `v` at `addr`; panics past the end.
     #[inline]
     pub fn write(&self, addr: usize, v: Cell) {
-        unsafe {
-            *self.cells[addr].get() = v;
+        assert!(self.set(addr, v), "arena address in range");
+    }
+
+    /// The cell at `addr`, or `None` past the end: one bounds check.
+    #[inline]
+    pub fn get(&self, addr: usize) -> Option<Cell> {
+        // SAFETY: `c` is an element of `cells`, so the pointer is valid
+        // and aligned. No thread writes a cell while another reads or
+        // writes it: the discipline `unsafe impl Sync for Arena` states.
+        self.cells.get(addr).map(|c| unsafe { *c.get() })
+    }
+
+    /// Stores `v` at `addr`; `false` (and nothing stored) past the end.
+    #[inline]
+    #[must_use]
+    pub fn set(&self, addr: usize, v: Cell) -> bool {
+        match self.cells.get(addr) {
+            Some(c) => {
+                // SAFETY: as in `get`; this thread is the cell's only
+                // accessor while it writes.
+                unsafe { *c.get() = v };
+                true
+            }
+            None => false,
         }
     }
 

@@ -29,6 +29,7 @@
 //! drop or delay messages and kill ranks to exercise these paths.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -359,6 +360,36 @@ impl MpiWorld {
     }
 }
 
+/// The word offset `IOFF - 1` of a buffer argument, clamped at zero.
+fn buffer_offset(op: &str, ioff: i64) -> Result<usize, RtError> {
+    ioff.checked_sub(1)
+        .and_then(|o| usize::try_from(o.max(0)).ok())
+        .ok_or_else(|| RtError::Trap(format!("{}: buffer offset {} overflows", op, ioff)))
+}
+
+/// The arena cells `[base + off, base + off + count)` a buffer argument
+/// covers, or a trap when that range overflows or a non-empty one
+/// leaves the arena.
+/// Checked before anything is allocated or moved, so a hostile COUNT
+/// costs nothing and fails the same way in every build profile.
+fn buffer(
+    ex: &Exec<'_, '_>,
+    op: &str,
+    base: usize,
+    off: usize,
+    count: usize,
+) -> Result<Range<usize>, RtError> {
+    base.checked_add(off)
+        .and_then(|start| Some(start..start.checked_add(count)?))
+        .filter(|r| r.is_empty() || r.end <= ex.arena_len())
+        .ok_or_else(|| {
+            RtError::Trap(format!(
+                "{}: {} elements at offset {} lie outside memory",
+                op, count, off
+            ))
+        })
+}
+
 /// Executes one `MP*` builtin from inside the interpreter.
 pub(crate) fn exec_builtin(
     ex: &mut Exec<'_, '_>,
@@ -377,6 +408,10 @@ pub(crate) fn exec_builtin(
             .copied()
             .ok_or_else(|| RtError::Trap("missing MP* argument".into()))
     };
+    // A negative COUNT moves nothing.
+    let count = |ex: &mut Exec<'_, '_>, i: usize| -> Result<usize, RtError> {
+        Ok(usize::try_from(ex.peek(addr(i)?)?.as_int()).unwrap_or(0))
+    };
     match op {
         MpOp::MyId => ex.poke(addr(0)?, Cell::Int(env.rank as i64))?,
         MpOp::NProc => ex.poke(addr(0)?, Cell::Int(w.ranks as i64))?,
@@ -384,17 +419,14 @@ pub(crate) fn exec_builtin(
             // (ARR, IOFF, COUNT, DEST, TAG): ARR bound = base address.
             let base = addr(0)?;
             let ioff = ex.peek(addr(1)?)?.as_int();
-            let count = ex.peek(addr(2)?)?.as_int().max(0) as usize;
+            let count = count(ex, 2)?;
             let dest = ex.peek(addr(3)?)?.as_int() as usize;
             let tag = ex.peek(addr(4)?)?.as_int();
             if dest >= w.ranks {
                 return Err(RtError::Trap(format!("MPSEND to rank {}", dest)));
             }
-            let start = base + (ioff - 1).max(0) as usize;
-            let mut buf = Vec::with_capacity(count);
-            for k in 0..count {
-                buf.push(ex.peek(start + k)?);
-            }
+            let cells = buffer(ex, "MPSEND", base, buffer_offset("MPSEND", ioff)?, count)?;
+            let buf = cells.map(|a| ex.peek(a)).collect::<Result<Vec<_>, _>>()?;
             let words = buf.len() as u64;
             w.send(env.rank, dest, tag, buf, ex.virt);
             ex.virt += MSG_WORD_COST * words;
@@ -402,19 +434,19 @@ pub(crate) fn exec_builtin(
         MpOp::Recv => {
             let base = addr(0)?;
             let ioff = ex.peek(addr(1)?)?.as_int();
-            let count = ex.peek(addr(2)?)?.as_int().max(0) as usize;
+            let count = count(ex, 2)?;
             let src = ex.peek(addr(3)?)?.as_int() as usize;
             let tag = ex.peek(addr(4)?)?.as_int();
             if src >= w.ranks {
                 return Err(RtError::Trap(format!("MPRECV from rank {}", src)));
             }
+            let cells = buffer(ex, "MPRECV", base, buffer_offset("MPRECV", ioff)?, count)?;
             let msg = w.recv(env.rank, src, tag)?;
             ex.virt = ex
                 .virt
                 .max(msg.sent_at + MSG_LATENCY + MSG_WORD_COST * msg.payload.len() as u64);
-            let start = base + (ioff - 1).max(0) as usize;
-            for (k, v) in msg.payload.into_iter().enumerate().take(count) {
-                ex.poke(start + k, v)?;
+            for (a, v) in cells.zip(msg.payload) {
+                ex.poke(a, v)?;
             }
         }
         MpOp::RedSum => {
@@ -427,20 +459,18 @@ pub(crate) fn exec_builtin(
         MpOp::AllGather => {
             let base = addr(0)?;
             let ioff = ex.peek(addr(1)?)?.as_int();
-            let count = ex.peek(addr(2)?)?.as_int().max(0) as usize;
-            let start = (ioff - 1).max(0) as usize;
-            let mut slice = Vec::with_capacity(count);
-            for k in 0..count {
-                slice.push(ex.peek(base + start + k)?);
-            }
+            let count = count(ex, 2)?;
+            let start = buffer_offset("MPALLG", ioff)?;
+            let cells = buffer(ex, "MPALLG", base, start, count)?;
+            let slice = cells.map(|a| ex.peek(a)).collect::<Result<Vec<_>, _>>()?;
             let (_, parts, clock) =
                 w.sync(env.rank, "MPALLG", 0.0, Some((start, slice)), ex.virt)?;
             ex.virt = ex.virt.max(clock);
             let mut moved = 0u64;
-            for (off, cells) in parts {
-                moved += cells.len() as u64;
-                for (k, v) in cells.into_iter().enumerate() {
-                    ex.poke(base + off + k, v)?;
+            for (off, part) in parts {
+                moved += part.len() as u64;
+                for (a, v) in buffer(ex, "MPALLG", base, off, part.len())?.zip(part) {
+                    ex.poke(a, v)?;
                 }
             }
             ex.virt += MSG_WORD_COST * moved;

@@ -3,16 +3,19 @@
 //! All name lookups happen here, once: scalars become indices into an
 //! activation's resolved-address table, array references become
 //! descriptor indices, COMMON members get absolute arena addresses.
-//! The interpreter's hot path never touches a string.
+//! The interpreter's hot path never touches a string. Each expression
+//! is compiled here, once, into closures ([`RExpr`]); statements stay a
+//! tree the interpreter walks.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use apar_minifort::ast::{self, BinOp, Expr as Ast, RedOp, Stmt, StmtKind, UnitKind};
 use apar_minifort::resolve::is_intrinsic;
 use apar_minifort::symtab::{ConstVal, Storage, SymbolKind};
 use apar_minifort::{ResolvedProgram, Ty};
 
-use crate::interp::RtError;
+use crate::interp::{compile, Code, RtError};
 use crate::intrinsics::Intr;
 use crate::memory::Cell;
 
@@ -39,18 +42,42 @@ pub enum ABase {
     Formal { pos: u16 },
 }
 
-/// Runtime expression.
-#[derive(Clone, Debug)]
-pub enum RExpr {
-    Ci(i64),
-    Cr(f64),
+/// A lowered expression tree: built by lowering and consumed by
+/// [`compile`], which turns it into an [`RExpr`]. Nothing keeps it.
+pub(crate) enum Node {
+    Lit(Cell),
     LoadS(ScalarId),
-    LoadA(ArrId, Vec<RExpr>),
-    Bin(BinOp, Box<RExpr>, Box<RExpr>),
-    Neg(Box<RExpr>),
-    Not(Box<RExpr>),
-    Intr(Intr, Vec<RExpr>),
+    LoadA(ArrId, Vec<Node>),
+    Bin(BinOp, Box<Node>, Box<Node>),
+    Neg(Box<Node>),
+    Not(Box<Node>),
+    Intr(Intr, Vec<Node>),
     CallF(UnitId, Vec<RActual>),
+}
+
+/// A compiled runtime expression.
+///
+/// Every tree node costs one virtual op, an intrinsic three more. A
+/// tree without a FUNCTION call has a static cost, charged as a whole
+/// on entry; a tree with one charges node by node, so a call starts at
+/// the same clock reading as in a node-at-a-time walk.
+#[derive(Clone)]
+pub struct RExpr {
+    /// Virtual ops charged on entry: the whole tree's when it has no
+    /// call, this node's own otherwise.
+    pub(crate) cost: u64,
+    /// A FUNCTION call is somewhere in the tree.
+    pub(crate) has_call: bool,
+    pub(crate) code: Code,
+}
+
+impl fmt::Debug for RExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RExpr")
+            .field("cost", &self.cost)
+            .field("has_call", &self.has_call)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Lvalues.
@@ -341,14 +368,14 @@ impl<'a> Lowerer<'a> {
                 let lo = self.lower_expr(&d.lo)?;
                 let hi = match &d.hi {
                     Some(h) => {
-                        let hi = self.lower_expr(h)?;
-                        let lo2 = self.lower_expr(&d.lo)?;
+                        let hi = self.lower_node(h)?;
+                        let lo2 = self.lower_node(&d.lo)?;
                         // extent = hi - lo + 1
-                        Some(RExpr::Bin(
+                        Some(compile(Node::Bin(
                             BinOp::Add,
-                            Box::new(RExpr::Bin(BinOp::Sub, Box::new(hi), Box::new(lo2))),
-                            Box::new(RExpr::Ci(1)),
-                        ))
+                            Box::new(Node::Bin(BinOp::Sub, Box::new(hi), Box::new(lo2))),
+                            Box::new(Node::Lit(Cell::Int(1))),
+                        )))
                     }
                     None => None,
                 };
@@ -601,11 +628,7 @@ impl<'a> Lowerer<'a> {
                     RActual::ArrayRef(id)
                 } else if let Some(v) = self.rp.table(&self.unit.name).param_val(n) {
                     // PARAMETER constants pass by value.
-                    RActual::Val(match v {
-                        ConstVal::Int(k) => RExpr::Ci(k),
-                        ConstVal::Real(r) => RExpr::Cr(r),
-                        ConstVal::Logical(b) => RExpr::Ci(b as i64),
-                    })
+                    RActual::Val(compile(Node::Lit(const_cell(v))))
                 } else {
                     RActual::ScalarRef(self.scalar(n)?)
                 }
@@ -627,31 +650,28 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_expr(&self, e: &Ast) -> Result<RExpr, RtError> {
+        Ok(compile(self.lower_node(e)?))
+    }
+
+    fn lower_node(&self, e: &Ast) -> Result<Node, RtError> {
         Ok(match e {
-            Ast::Int(v) => RExpr::Ci(*v),
-            Ast::Real(v) => RExpr::Cr(*v),
-            Ast::Logical(b) => RExpr::Ci(*b as i64),
+            Ast::Int(v) => Node::Lit(Cell::Int(*v)),
+            Ast::Real(v) => Node::Lit(Cell::Real(*v)),
+            Ast::Logical(b) => Node::Lit(Cell::Int(*b as i64)),
             Ast::Str(_) => return Err(self.err("string in expression")),
-            Ast::Name(n) => {
-                if let Some(t) = self.rp.table(&self.unit.name).param_val(n) {
-                    match t {
-                        ConstVal::Int(v) => RExpr::Ci(v),
-                        ConstVal::Real(v) => RExpr::Cr(v),
-                        ConstVal::Logical(b) => RExpr::Ci(b as i64),
-                    }
-                } else {
-                    RExpr::LoadS(self.scalar(n)?)
-                }
-            }
+            Ast::Name(n) => match self.rp.table(&self.unit.name).param_val(n) {
+                Some(v) => Node::Lit(const_cell(v)),
+                None => Node::LoadS(self.scalar(n)?),
+            },
             Ast::Index { name, subs } => {
                 let id = *self
                     .arr_ids
                     .get(name)
                     .ok_or_else(|| self.err(format!("unknown array {}", name)))?;
-                RExpr::LoadA(
+                Node::LoadA(
                     id,
                     subs.iter()
-                        .map(|s| self.lower_expr(s))
+                        .map(|s| self.lower_node(s))
                         .collect::<Result<_, _>>()?,
                 )
             }
@@ -659,10 +679,10 @@ impl<'a> Lowerer<'a> {
                 if is_intrinsic(name) {
                     let intr = Intr::parse(name)
                         .ok_or_else(|| self.err(format!("unsupported intrinsic {}", name)))?;
-                    RExpr::Intr(
+                    Node::Intr(
                         intr,
                         args.iter()
-                            .map(|a| self.lower_expr(a))
+                            .map(|a| self.lower_node(a))
                             .collect::<Result<_, _>>()?,
                     )
                 } else {
@@ -670,7 +690,7 @@ impl<'a> Lowerer<'a> {
                         .unit_ids
                         .get(name.as_str())
                         .ok_or_else(|| self.err(format!("undefined function {}", name)))?;
-                    RExpr::CallF(
+                    Node::CallF(
                         uid,
                         args.iter()
                             .map(|a| self.lower_actual(a))
@@ -681,14 +701,23 @@ impl<'a> Lowerer<'a> {
             Ast::Sub { name, .. } => {
                 return Err(self.err(format!("unresolved reference {}", name)))
             }
-            Ast::Bin(op, l, r) => RExpr::Bin(
+            Ast::Bin(op, l, r) => Node::Bin(
                 *op,
-                Box::new(self.lower_expr(l)?),
-                Box::new(self.lower_expr(r)?),
+                Box::new(self.lower_node(l)?),
+                Box::new(self.lower_node(r)?),
             ),
-            Ast::Un(ast::UnOp::Neg, i) => RExpr::Neg(Box::new(self.lower_expr(i)?)),
-            Ast::Un(ast::UnOp::Not, i) => RExpr::Not(Box::new(self.lower_expr(i)?)),
+            Ast::Un(ast::UnOp::Neg, i) => Node::Neg(Box::new(self.lower_node(i)?)),
+            Ast::Un(ast::UnOp::Not, i) => Node::Not(Box::new(self.lower_node(i)?)),
         })
+    }
+}
+
+/// A PARAMETER constant as a cell.
+fn const_cell(v: ConstVal) -> Cell {
+    match v {
+        ConstVal::Int(k) => Cell::Int(k),
+        ConstVal::Real(r) => Cell::Real(r),
+        ConstVal::Logical(b) => Cell::Int(b as i64),
     }
 }
 

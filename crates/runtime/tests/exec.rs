@@ -2,7 +2,7 @@
 //! parallel execution equivalence, the race checker, and MPI builtins.
 
 use apar_minifort::frontend;
-use apar_runtime::{run, run_mpi, DeckVal, ExecConfig, ExecMode, RtError};
+use apar_runtime::{run, run_mpi, DeckVal, ExecConfig, ExecMode, RtError, MAX_CALL_DEPTH};
 
 fn exec(src: &str, deck: &[DeckVal]) -> Vec<String> {
     let rp = frontend(src).expect("frontend");
@@ -348,9 +348,8 @@ fn unbounded_recursion_overflows_the_stack_bound() {
         )
     };
     // A small explicit bound, and the default every other caller uses.
-    // Each activation also nests the tree-walking interpreter a few
-    // KiB deeper on the host stack, so the frame grows with the bound
-    // to keep the depth at which the bound is met small (16 and 4).
+    // The frame grows with the bound to keep the depth at which the
+    // bound is met small (16 and 4), below the call-depth cap.
     let default = ExecConfig::default().seg_words;
     for (local, seg_words) in [(1000, 1 << 14), (1_000_000, default)] {
         assert_eq!(
@@ -390,5 +389,73 @@ fn private_array_overlay_past_a_worker_segment_is_stack_overflow() {
     assert_eq!(
         run_bounded(src, ExecMode::Manual, 1 << 14),
         Ok(vec!["8.000000".to_string()])
+    );
+}
+
+// ---------------- the call-depth cap ----------------
+
+/// Runs `src` (default configuration but `mode`) on a fresh thread with
+/// a 2 MiB stack, the size a spawned thread gets by default: recursion
+/// must end in an `RtError` there, never in a host stack overflow.
+fn run_on_small_stack(src: &str, mode: ExecMode) -> Result<Vec<String>, RtError> {
+    let src = src.to_string();
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let rp = frontend(&src).expect("frontend");
+            let cfg = ExecConfig {
+                mode,
+                ..Default::default()
+            };
+            run(&rp, &[], &cfg).map(|r| r.output)
+        })
+        .expect("spawn")
+        .join()
+        .expect("no host stack overflow")
+}
+
+#[test]
+fn runaway_recursion_with_tiny_frames_hits_the_depth_cap() {
+    // One-word activations would take a million levels to fill the
+    // default stack segment; the depth cap stops them first, through a
+    // CALL, a FUNCTION inside an expression, nested statements, and a
+    // worker thread of a parallel loop.
+    let recursions = [
+        "PROGRAM P\nCALL R(1)\nEND\nSUBROUTINE R(N)\nCALL R(N + 1)\nEND\n",
+        "PROGRAM P\nX = 1.0 + F(1) * 2.0\nEND\nFUNCTION F(N)\nF = 1.0 + F(N + 1) * 2.0\nEND\n",
+        "PROGRAM P\nCALL R(1)\nEND\nSUBROUTINE R(N)\nDO I = 1, 2\nIF (N .GT. 0) THEN\nDO J = 1, 2\nCALL R(N + I + J)\nENDDO\nENDIF\nENDDO\nEND\n",
+    ];
+    for src in recursions {
+        assert_eq!(
+            run_on_small_stack(src, ExecMode::Serial),
+            Err(RtError::StackOverflow),
+            "{}",
+            src
+        );
+    }
+    let parallel = "PROGRAM P\nREAL A(8)\n!$OMP PARALLEL DO\nDO I = 1, 8\nA(I) = F(I)\nENDDO\nEND\nFUNCTION F(N)\nF = F(N + 1)\nEND\n";
+    assert_eq!(
+        run_on_small_stack(parallel, ExecMode::Manual),
+        Err(RtError::StackOverflow)
+    );
+}
+
+#[test]
+fn the_depth_cap_counts_activations_exactly() {
+    // The main program is one activation; a chain of R calls adds one
+    // each. `MAX_CALL_DEPTH` activations run, one more does not.
+    let chain = |calls: usize| {
+        format!(
+            "PROGRAM P\nCALL R(1)\nWRITE(*,*) 7\nEND\nSUBROUTINE R(N)\nIF (N .LT. {}) THEN\nCALL R(N + 1)\nENDIF\nEND\n",
+            calls
+        )
+    };
+    assert_eq!(
+        run_on_small_stack(&chain(MAX_CALL_DEPTH - 1), ExecMode::Serial),
+        Ok(vec!["7".to_string()])
+    );
+    assert_eq!(
+        run_on_small_stack(&chain(MAX_CALL_DEPTH), ExecMode::Serial),
+        Err(RtError::StackOverflow)
     );
 }

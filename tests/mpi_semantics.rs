@@ -264,6 +264,93 @@ END
     assert!(format!("{}", e).contains("MPSEND"), "{}", e);
 }
 
+/// The trap message of a run that must fail with a trap.
+fn trap_msg(e: RtError) -> String {
+    match e {
+        RtError::Trap(m) => m,
+        other => panic!("expected a trap, got {}", other),
+    }
+}
+
+#[test]
+fn hostile_buffer_arguments_trap_before_moving_data() {
+    // COUNT and IOFF come from the program: a COUNT of 2^40 words used
+    // to reach the allocator and abort the process, 2^62 panicked on
+    // capacity overflow, and an IOFF of i64::MIN overflowed `IOFF - 1`.
+    // Each is a trap now, identical in every build profile, raised
+    // before anything is allocated, sent or received.
+    let send = |ioff: &str, count: &str| {
+        format!(
+            "PROGRAM P
+  REAL A(4)
+  INTEGER K, N
+  CALL MPMYID(ME)
+  K = {}
+  N = {}
+  IF (ME .EQ. 0) THEN
+    CALL MPSEND(A, K, N, 1, 7)
+  ENDIF
+  IF (ME .EQ. 1) THEN
+    CALL MPRECV(A, 1, 4, 0, 7)
+  ENDIF
+END
+",
+            ioff, count
+        )
+    };
+    let cases = [
+        (
+            send("1", "1099511627776"),
+            "MPSEND: 1099511627776 elements at offset 0 lie outside memory",
+        ),
+        (
+            send("1", "4611686018427387904"),
+            "MPSEND: 4611686018427387904 elements at offset 0 lie outside memory",
+        ),
+        (
+            send("-9223372036854775807 - 1", "1"),
+            "MPSEND: buffer offset -9223372036854775808 overflows",
+        ),
+        (
+            send("9223372036854775807", "2"),
+            "MPSEND: 2 elements at offset 9223372036854775806 lie outside memory",
+        ),
+    ];
+    for (src, want) in cases {
+        assert_eq!(trap_msg(mpi_err(&src, 2)), want);
+    }
+
+    let recv = "PROGRAM P
+  REAL A(4)
+  INTEGER N
+  CALL MPMYID(ME)
+  N = 1099511627776
+  IF (ME .EQ. 0) THEN
+    CALL MPSEND(A, 1, 4, 1, 7)
+  ENDIF
+  IF (ME .EQ. 1) THEN
+    CALL MPRECV(A, 1, N, 0, 7)
+  ENDIF
+END
+";
+    assert_eq!(
+        trap_msg(mpi_err(recv, 2)),
+        "MPRECV: 1099511627776 elements at offset 0 lie outside memory"
+    );
+
+    let allgather = "PROGRAM P
+  REAL G(8)
+  INTEGER N
+  N = 4611686018427387904
+  CALL MPALLG(G, 1, N)
+END
+";
+    assert_eq!(
+        trap_msg(mpi_err(allgather, 2)),
+        "MPALLG: 4611686018427387904 elements at offset 0 lie outside memory"
+    );
+}
+
 #[test]
 fn allreduce_sums_across_ranks() {
     // Each rank contributes (rank+1): 1+2+3+4 = 10.

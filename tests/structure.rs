@@ -255,3 +255,57 @@ fn stack_size_is_a_bound_nobody_tunes() {
         hits.join("\n")
     );
 }
+
+/// The quoted entries of the root manifest's `key = [...]` line.
+fn manifest_list(manifest: &str, key: &str) -> Vec<String> {
+    let line = manifest
+        .lines()
+        .find(|l| l.starts_with(&format!("{} = [", key)))
+        .unwrap_or_else(|| panic!("Cargo.toml has no `{} = [...]` line", key));
+    line.split('"').skip(1).step_by(2).map(str::to_string).collect()
+}
+
+#[test]
+fn every_workspace_member_is_a_default_member() {
+    let manifest = read("Cargo.toml");
+    let defaults = manifest_list(&manifest, "default-members");
+    let mut wanted = manifest_list(&manifest, "members");
+    wanted.push(".".to_string());
+    let missing: Vec<&String> = wanted.iter().filter(|m| !defaults.contains(m)).collect();
+    assert!(
+        missing.is_empty(),
+        "plain `cargo test` at the root must run every crate's tests, as CI's --workspace \
+         does; not in default-members: {:?}",
+        missing
+    );
+}
+
+#[test]
+fn the_interpreter_has_one_expression_evaluator() {
+    // Expressions are compiled to closures once, at lowering; the only
+    // code that looks at an expression tree's nodes is `compile`.
+    let src = read("crates/runtime/src/interp.rs");
+    let lines: Vec<&str> = above_tests(&src).collect();
+    let starts: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("pub(crate) fn compile("))
+        .collect();
+    assert_eq!(starts.len(), 1, "interp.rs must have one `fn compile`");
+    let end = (starts[0]..lines.len())
+        .find(|&i| lines[i] == "}")
+        .expect("compile ends");
+    let hits: Vec<String> = (0..lines.len())
+        .filter(|&i| (i < starts[0] || i > end) && lines[i].contains("Node::"))
+        .map(|i| format!("crates/runtime/src/interp.rs:{}: {}", i + 1, lines[i].trim()))
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "a second expression evaluator: expression-tree nodes are matched outside \
+         `compile`:\n{}",
+        hits.join("\n")
+    );
+    let rprog = read("crates/runtime/src/rprog.rs");
+    assert!(
+        !rprog.contains("pub enum RExpr"),
+        "`RExpr` is compiled code, not a tree an interpreter walks"
+    );
+}

@@ -6,8 +6,9 @@
 //! op bombs, duplicate storms, held-capacity waves — plus a scripted
 //! daemon session, and writes `BENCH_resilience.json`. Exits nonzero
 //! unless every gate holds: zero escaped panics, zero identity
-//! divergences, bounded queue depth, every refusal class exercised,
-//! quarantine convergence, and daemon survival.
+//! divergences, bounded queue depth, full-fidelity compiles under held
+//! capacity, every refusal class exercised, quarantine convergence, and
+//! daemon survival.
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -23,15 +24,19 @@ fn main() {
     if !data.ok() {
         eprintln!(
             "FAIL: escaped_panics={} identity_divergences={} peak_pending={}/{} \
-             rejected={} expired={} quarantined={} degraded={} daemon_ok={}",
+             held_not_full={}/{} rejected={} expired={} quarantined={} \
+             panic_compiles={}/{} daemon_ok={}",
             data.escaped_panics,
             data.identity_divergences,
             data.peak_pending,
             data.max_pending,
+            data.held_not_full,
+            data.held_compiles,
             data.rejected,
             data.deadline_expired,
             data.quarantined,
-            data.degraded,
+            data.panic_source_max_compiles,
+            data.panic_compile_bound,
             data.daemon_ok
         );
         std::process::exit(1);

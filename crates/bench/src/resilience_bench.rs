@@ -16,14 +16,16 @@
 //! * **identity** — every full-fidelity response (`Cold` / `CacheHit` /
 //!   `Deduped`) is bit-identical to a plain service-free `Compiler`
 //!   compile of the same source;
+//! * **full fidelity under load** — in the held-capacity waves, every
+//!   admitted compile without a deadline is `Cold` and passes the
+//!   identity oracle: load sheds requests, it never thins a compile;
 //! * **total classification** — the adversarial mix actually produces
 //!   every structured refusal class (`Rejected`, `DeadlineExpired`,
-//!   `Quarantined`, `Degraded`), so none of the paths is dead;
+//!   `Quarantined`), so none of the paths is dead;
 //! * **quarantine convergence** — each crash-looping suite is compiled
-//!   only a bounded number of times (strikes plus backoff probations),
-//!   not once per request;
-//! * **daemon survival** — a scripted daemon session under held
-//!   capacity answers `REJECTED` and `"overloaded":true`, then serves
+//!   at most [`QUARANTINE_STRIKES`] times, not once per request;
+//! * **daemon survival** — a scripted daemon session with every pending
+//!   slot held answers `REJECTED` and `"overloaded":true`, then serves
 //!   normally once the hold drops.
 
 use std::collections::HashMap;
@@ -34,7 +36,7 @@ use apar_core::{Compiler, CompilerProfile, PassId};
 use apar_minicheck::fortgen::{gen_op_bomb, gen_program, GenConfig};
 use apar_minicheck::{Rng, BASE_SEED};
 use apar_service::daemon::serve;
-use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest};
+use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest, QUARANTINE_STRIKES};
 
 use crate::json::{Json, ToJson};
 
@@ -62,7 +64,6 @@ pub struct ResilienceData {
     pub deadline_expired: usize,
     pub rejected: usize,
     pub quarantined: usize,
-    pub degraded: usize,
     /// Contained whole-compile panics ([`SuiteArtifact::Failed`]) — the
     /// per-loop sandbox should make this zero even under fault
     /// injection.
@@ -75,12 +76,17 @@ pub struct ResilienceData {
     pub identity_divergences: usize,
     /// Deepest the pending queue ever was. Gate: ≤ `max_pending`.
     pub peak_pending: usize,
+    /// Deadline-free compiles admitted during the held-capacity waves.
+    pub held_compiles: usize,
+    /// Those that were not `Cold` or diverged from the oracle. Gate:
+    /// zero.
+    pub held_not_full: usize,
     /// Most times any one crash-looping suite was actually compiled.
     pub panic_source_max_compiles: usize,
-    /// The convergence bound that count must stay under
-    /// (strikes + backoff-probation allowance).
+    /// The convergence bound that count must stay under: the strike
+    /// count, since a struck-out suite is never compiled again.
     pub panic_compile_bound: usize,
-    /// Suites under active quarantine when the soak ended.
+    /// Suites quarantined when the soak ended.
     pub quarantined_suites_final: usize,
     /// Scripted daemon phase verdict (REJECTED under hold, recovery
     /// after, deadline expiry over the wire, loop survives garbage).
@@ -98,10 +104,11 @@ impl ResilienceData {
             && self.failed == 0
             && self.peak_pending <= self.max_pending
             && self.identity_checked > 0
+            && self.held_compiles > 0
+            && self.held_not_full == 0
             && self.rejected > 0
             && self.deadline_expired > 0
             && self.quarantined > 0
-            && self.degraded > 0
             && self.panic_source_max_compiles <= self.panic_compile_bound
             && self.daemon_ok
     }
@@ -120,7 +127,6 @@ impl ToJson for ResilienceData {
             ("deadline_expired", self.deadline_expired.to_json()),
             ("rejected", self.rejected.to_json()),
             ("quarantined", self.quarantined.to_json()),
-            ("degraded", self.degraded.to_json()),
             ("failed", self.failed.to_json()),
             ("escaped_panics", self.escaped_panics.to_json()),
             ("identity_checked", self.identity_checked.to_json()),
@@ -129,6 +135,8 @@ impl ToJson for ResilienceData {
                 self.identity_divergences.to_json(),
             ),
             ("peak_pending", self.peak_pending.to_json()),
+            ("held_compiles", self.held_compiles.to_json()),
+            ("held_not_full", self.held_not_full.to_json()),
             (
                 "panic_source_max_compiles",
                 self.panic_source_max_compiles.to_json(),
@@ -199,13 +207,13 @@ fn soak_request(i: usize, rng: &mut Rng) -> SuiteRequest {
     }
 }
 
-/// The scripted daemon phase: one session under held capacity (must
-/// reject compiles but keep answering `HEALTH`/`STATS`), one after the
-/// hold drops (must compile again, honor wire deadlines, and survive
-/// garbage). Returns (ok, rejected count).
+/// The scripted daemon phase: one session with every pending slot held
+/// (must reject compiles but keep answering `HEALTH`/`STATS`), one
+/// after the hold drops (must compile again, honor wire deadlines, and
+/// survive garbage). Returns (ok, rejected count).
 fn daemon_phase(service: &CompileService) -> (bool, usize) {
     let held_out = {
-        let _hold = service.hold_capacity(service.config().max_pending - 2);
+        let _hold = service.hold_capacity(service.config().max_pending);
         let input: &[u8] =
             b"HEALTH\nSRC held 2\nPROGRAM MAIN\nEND\nFILE /nonexistent/apar-soak\nQUIT\n";
         let mut out = Vec::new();
@@ -249,14 +257,9 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
         workers,
         result_entries: 64,
         max_pending: 8,
-        high_watermark: 6,
-        low_watermark: 3,
-        quarantine_strikes: 3,
-        quarantine_backoff_ms: 200,
         ..ServiceConfig::default()
     };
     let max_pending = config.max_pending;
-    let quarantine_strikes = config.quarantine_strikes as usize;
     let service = CompileService::new(config);
 
     let mut data = ResilienceData {
@@ -270,16 +273,15 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
         deadline_expired: 0,
         rejected: 0,
         quarantined: 0,
-        degraded: 0,
         failed: 0,
         escaped_panics: 0,
         identity_checked: 0,
         identity_divergences: 0,
         peak_pending: 0,
+        held_compiles: 0,
+        held_not_full: 0,
         panic_source_max_compiles: 0,
-        // Strikes, plus a probation compile for each backoff lapse a
-        // multi-second soak can plausibly see.
-        panic_compile_bound: quarantine_strikes + 8,
+        panic_compile_bound: QUARANTINE_STRIKES as usize,
         quarantined_suites_final: 0,
         daemon_ok: false,
         daemon_rejected: 0,
@@ -311,8 +313,9 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
         data.batches += 1;
 
         // Every fifth batch runs with most of the queue held occupied:
-        // deterministic shedding and parse-only degradation. Force a
-        // fresh clean request in so the degraded path really compiles.
+        // deterministic shedding, and the admitted rest must still be
+        // full compiles. Force a fresh clean request in so a held batch
+        // has a cold compile to admit.
         let held = data.batches.is_multiple_of(5);
         let hold = if held {
             let mut fresh = Rng::new(case_seed(3_000 + data.batches));
@@ -345,14 +348,19 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
                 Served::DeadlineExpired => data.deadline_expired += 1,
                 Served::Rejected => data.rejected += 1,
                 Served::Quarantined => data.quarantined += 1,
-                Served::Degraded => data.degraded += 1,
             }
             if matches!(&*o.artifact, apar_service::SuiteArtifact::Failed(_)) {
                 data.failed += 1;
             }
-            if req.name.starts_with("panic-") && o.artifact.compile().is_some() {
+            if req.name.starts_with("panic-") && o.served == Served::Cold {
                 *panic_compiles.entry(req.name.clone()).or_insert(0) += 1;
             }
+            // A compile ran for this request (not a hit, duplicate or
+            // refusal) while the queue was held.
+            let held_compile = held
+                && req.deadline.is_none()
+                && matches!(o.served, Served::Cold | Served::DeadlineExpired);
+            let mut diverged = false;
             if o.served.full_fidelity() {
                 let sig = reference.entry(req.source.clone()).or_insert_with(|| {
                     plain
@@ -360,9 +368,12 @@ pub fn soak(requests: usize, workers: usize) -> ResilienceData {
                         .report_signature()
                 });
                 data.identity_checked += 1;
-                if o.artifact.signature() != *sig {
-                    data.identity_divergences += 1;
-                }
+                diverged = o.artifact.signature() != *sig;
+                data.identity_divergences += usize::from(diverged);
+            }
+            if held_compile {
+                data.held_compiles += 1;
+                data.held_not_full += usize::from(o.served != Served::Cold || diverged);
             }
         }
     }
@@ -388,15 +399,8 @@ pub fn render(d: &ResilienceData) -> String {
         d.requests, d.batches, d.workers, d.wall_s
     ));
     out.push_str(&format!(
-        "classes: {} cold, {} hits, {} dedup, {} expired, {} rejected, {} quarantined, {} degraded, {} failed\n",
-        d.cold,
-        d.cache_hits,
-        d.deduped,
-        d.deadline_expired,
-        d.rejected,
-        d.quarantined,
-        d.degraded,
-        d.failed
+        "classes: {} cold, {} hits, {} dedup, {} expired, {} rejected, {} quarantined, {} failed\n",
+        d.cold, d.cache_hits, d.deduped, d.deadline_expired, d.rejected, d.quarantined, d.failed
     ));
     out.push_str(&format!(
         "escaped panics {}  identity {}/{} diverged  peak pending {}/{}\n",
@@ -407,7 +411,11 @@ pub fn render(d: &ResilienceData) -> String {
         d.max_pending
     ));
     out.push_str(&format!(
-        "quarantine: max compiles of one bad suite {} (bound {}), {} suites active at end\n",
+        "held waves: {} compiles admitted, {} not full fidelity\n",
+        d.held_compiles, d.held_not_full
+    ));
+    out.push_str(&format!(
+        "quarantine: max compiles of one bad suite {} (bound {}), {} suites quarantined at end\n",
         d.panic_source_max_compiles, d.panic_compile_bound, d.quarantined_suites_final
     ));
     out.push_str(&format!(

@@ -37,7 +37,7 @@ pub use classify::Classification;
 pub use fanout::fan_out;
 pub use pipeline::{CompileResult, Compiler, EmitResult, LoopReport};
 pub use profile::CompilerProfile;
-pub use report::{CompileReport, DegradeTier, PassId};
+pub use report::{CompileReport, PassId};
 pub use splice::SplicedLoop;
 
 pub use apar_analysis::Capabilities;

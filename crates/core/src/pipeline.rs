@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use crate::cancel::CancelToken;
 use crate::classify::{classify, Classification};
 use crate::profile::CompilerProfile;
-use crate::report::{CompileReport, DegradeTier, PassId, SkipReason, SkippedLoop};
+use crate::report::{CompileReport, PassId, SkipReason, SkippedLoop};
 use crate::splice::{AnalyzedLoop, SplicedLoop};
 use apar_analysis::access::{self, AccessKind};
 use apar_analysis::alias::AliasInfo;
@@ -52,9 +52,6 @@ pub struct Compiler {
     /// their reports, the rest land in the skip ledger as
     /// `DeadlineExpired`. `None` (the default) never cancels.
     pub cancel: Option<CancelToken>,
-    /// How much of the pipeline to run (the service's overload tiers).
-    /// `Full` — the default — is the normal compiler.
-    pub degrade: DegradeTier,
 }
 
 /// Facts recorded about one analyzed loop.
@@ -162,11 +159,14 @@ impl CompileResult {
             self.report.diags.len(),
             self.report.dropped_units.len()
         ));
-        // Resilience markers: a degraded or expired compile must never
-        // pass for a full one in an identity comparison.
+        // An expired compile must never pass for a full one in an
+        // identity comparison. `tier=None;` is the constant left by the
+        // deleted parse-only tier: every pinned digest and every result
+        // record on disk hashes it, so it goes only with the one
+        // deliberate re-baseline of those digests.
         s.push_str(&format!(
-            "tier={:?};expired={};",
-            self.report.degrade, self.report.deadline_expired
+            "tier=None;expired={};",
+            self.report.deadline_expired
         ));
         s
     }
@@ -194,12 +194,6 @@ impl Compiler {
     /// `DeadlineExpired` partial result once it trips.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// This compiler pinned to a degraded tier (see [`DegradeTier`]).
-    pub fn with_degrade(mut self, tier: DegradeTier) -> Self {
-        self.degrade = tier;
         self
     }
 
@@ -253,7 +247,6 @@ impl Compiler {
         CompileReport {
             app: app.to_string(),
             profile: self.profile.name.clone(),
-            degrade: (self.degrade != DegradeTier::Full).then_some(self.degrade),
             ..Default::default()
         }
     }
@@ -275,20 +268,11 @@ impl Compiler {
         report.units = rp.program.units.len();
         report.charge(PassId::Others, frontend_wall, rp.program.stmt_count as u64);
 
-        // Parse-only tier stops here by design; an expired deadline
-        // stops at the first post-frontend checkpoint. Either way the
-        // result is structured: every discovered loop is ledgered.
-        if self.degrade == DegradeTier::ParseOnly {
-            return Ok(skip_all(
-                rp,
-                report,
-                SkipReason::Degraded {
-                    tier: DegradeTier::ParseOnly,
-                },
-            ));
-        }
+        // An expired deadline stops at the first post-frontend
+        // checkpoint; the result is structured: every discovered loop
+        // is ledgered.
         if self.expired() {
-            return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
+            return Ok(expire_all(rp, report));
         }
 
         // ---- Induction variable substitution ------------------------------
@@ -327,7 +311,7 @@ impl Compiler {
             rp.program.stmt_count as u64 + substituted * 32,
         );
         if self.expired() {
-            return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
+            return Ok(expire_all(rp, report));
         }
 
         // ---- GSA translation ----------------------------------------------
@@ -344,7 +328,7 @@ impl Compiler {
         }
         report.charge(PassId::GsaTranslation, t.elapsed(), gsa_ops);
         if self.expired() {
-            return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
+            return Ok(expire_all(rp, report));
         }
 
         // ---- Structural substrate ("others") -------------------------------
@@ -364,7 +348,7 @@ impl Compiler {
         report.target_loops = forest.targets().count();
         report.charge(PassId::Others, t.elapsed(), forest.loops.len() as u64);
         if self.expired() {
-            return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
+            return Ok(expire_all(rp, report));
         }
 
         // ---- Interprocedural constant propagation ---------------------------
@@ -374,7 +358,7 @@ impl Compiler {
             + (cp.formal_constants as u64 + cp.common_facts as u64) * 16;
         report.charge(PassId::InterproceduralConstProp, t.elapsed(), cp_ops);
         if self.expired() {
-            return Ok(skip_all(rp, report, SkipReason::DeadlineExpired));
+            return Ok(expire_all(rp, report));
         }
 
         // From here to the fan-out the driver computes keys, seeds the
@@ -393,8 +377,7 @@ impl Compiler {
         // compile's outcome stored under the same key spliced in below
         // is bit-identical to re-analysis by construction. Disabled
         // under fault injection (a splice would skip the injected
-        // panic). The parse-only tier returned above, so every compile
-        // that gets here is a full analysis.
+        // panic).
         let store = self.loop_store.as_deref();
         let store = store.filter(|_| self.profile.fault.is_none());
         let splice: Option<(&LoopRecordStore<SplicedLoop>, Vec<u64>)> = store.map(|store| {
@@ -678,24 +661,23 @@ pub struct EmitResult {
     pub reparse_diags: Vec<Diag>,
 }
 
-/// Terminal degraded compile: the front end ran, nothing else will.
-/// Every loop the forest discovers lands in the skip ledger with
-/// `reason` (skip-entry only, no loop reports, so
-/// `loops.len() + skipped.len()` still covers every discovered loop)
-/// and the report keeps whatever the completed passes charged.
-fn skip_all(rp: ResolvedProgram, mut report: CompileReport, reason: SkipReason) -> CompileResult {
+/// Terminal expired compile: the deadline tripped at a whole-program
+/// checkpoint, so no loop will be analyzed. Every loop the forest
+/// discovers lands in the skip ledger as `DeadlineExpired` (skip-entry
+/// only, no loop reports, so `loops.len() + skipped.len()` still covers
+/// every discovered loop) and the report keeps whatever the completed
+/// passes charged.
+fn expire_all(rp: ResolvedProgram, mut report: CompileReport) -> CompileResult {
     let forest = LoopForest::build(&rp);
     report.loops = forest.loops.len();
     report.target_loops = forest.targets().count();
-    if matches!(reason, SkipReason::DeadlineExpired) {
-        report.deadline_expired = true;
-    }
+    report.deadline_expired = true;
     for info in &forest.loops {
         report.skipped.push(SkippedLoop {
             unit: info.id.unit.clone(),
             stmt: info.id.stmt,
             target: info.target.clone(),
-            reason: reason.clone(),
+            reason: SkipReason::DeadlineExpired,
         });
     }
     CompileResult {
@@ -741,8 +723,7 @@ struct LoopOutcome {
     /// to splice: the outcome is a pure function of what the key
     /// covers. False for anything coupled to whole-program state (a
     /// facts-build budget trip fires at a program-order-dependent
-    /// point) and for non-analyses (panics, deadline expiries,
-    /// degraded-tier skips).
+    /// point) and for non-analyses (panics, deadline expiries).
     cacheable: bool,
     result: Result<AnalyzedLoop, SkipReason>,
 }
@@ -1630,27 +1611,6 @@ mod tests {
         // And it can never pass for a full compile.
         let full = compile(src, CompilerProfile::polaris2008());
         assert_ne!(r.report_signature(), full.report_signature());
-    }
-
-    #[test]
-    fn parse_only_tier_ledgers_every_loop() {
-        let src = "PROGRAM P\nREAL A(100)\nDO I = 1, 100\nA(I) = 1.0\nENDDO\nEND\n";
-        let r = Compiler::new(CompilerProfile::polaris2008())
-            .with_degrade(DegradeTier::ParseOnly)
-            .compile_source("test", src)
-            .expect("compile");
-        assert_eq!(r.report.degrade, Some(DegradeTier::ParseOnly));
-        assert!(!r.report.deadline_expired);
-        assert!(r.loops.is_empty());
-        assert_eq!(r.report.skipped.len(), r.report.loops);
-        assert_eq!(r.report.loops, 1);
-        assert!(matches!(
-            r.report.skipped[0].reason,
-            SkipReason::Degraded {
-                tier: DegradeTier::ParseOnly
-            }
-        ));
-        assert!(r.report.statements > 0, "the front end still ran");
     }
 
     #[test]

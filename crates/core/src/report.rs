@@ -53,32 +53,6 @@ pub struct PassCost {
     pub ops: u64,
 }
 
-/// How much of the pipeline a compile was asked to run. Under overload
-/// the service degrades work rather than queueing it unboundedly:
-/// `Full` is the normal pipeline and `ParseOnly` stops after the
-/// recovering front end (parse + diagnose, every loop ledgered as
-/// skipped) at 6–23 % of a full compile's wall. There is no tier in
-/// between: analysis cost is per-loop inlining plus dependence
-/// testing, and no subset of it sheds enough to be worth a class
-/// (EXPERIMENTS.md, "Degrade tiers").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DegradeTier {
-    /// The full analysis pipeline.
-    #[default]
-    Full,
-    /// Front end only: parse, diagnose, count loops; no analysis.
-    ParseOnly,
-}
-
-impl DegradeTier {
-    pub fn label(&self) -> &'static str {
-        match self {
-            DegradeTier::Full => "full",
-            DegradeTier::ParseOnly => "parse-only",
-        }
-    }
-}
-
 /// Why the per-loop analysis stage could not analyze a loop. These are
 /// hindrances in their own right: a skipped loop stays serial, so it
 /// must stay visible in the report rather than silently vanishing from
@@ -118,12 +92,6 @@ pub enum SkipReason {
     /// analyzed. The compile degraded cooperatively: completed loops
     /// kept their reports, the rest landed here.
     DeadlineExpired,
-    /// The compile ran at a degraded tier that does not perform the
-    /// analysis this loop would have needed (the parse-only tier).
-    Degraded {
-        /// The tier that was in force.
-        tier: DegradeTier,
-    },
 }
 
 impl SkipReason {
@@ -136,7 +104,6 @@ impl SkipReason {
             SkipReason::InternalError { .. } => "internal error",
             SkipReason::NotEmittable { .. } => "not emittable",
             SkipReason::DeadlineExpired => "deadline expired",
-            SkipReason::Degraded { .. } => "degraded",
         }
     }
 }
@@ -176,8 +143,6 @@ pub struct CompileReport {
     /// True when the request's deadline expired mid-compile: at least
     /// one loop was ledgered as `DeadlineExpired` instead of analyzed.
     pub deadline_expired: bool,
-    /// The degraded tier this compile ran at, when not `Full`.
-    pub degrade: Option<DegradeTier>,
     /// What the call-bearing loops' inline detours came to. Diagnostic:
     /// loops spliced from a loop-record store take no detour, so this is
     /// not part of [`crate::CompileResult::report_signature`].

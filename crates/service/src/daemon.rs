@@ -18,9 +18,13 @@
 //!
 //! Responses are exactly one line each: `OK <json>` for compiles and
 //! stats, `ERR <reason>` for anything unserviceable, and
-//! `REJECTED <reason>` when the service is overloaded (compile
-//! commands only — `HEALTH`/`STATS`/`QUIT` always answer, so an
-//! operator can watch an overloaded daemon drain). The loop is total
+//! `REJECTED <reason>` when the service is overloaded — its pending
+//! queue is at `max_pending`, so admission would shed the compile
+//! anyway. That is the one load signal: below the bound a compile runs
+//! the full pipeline, at it the answer is "retry", and `HEALTH`'s
+//! `"overloaded"` flips back the moment a slot frees. Only compile
+//! commands are rejected — `HEALTH`/`STATS`/`QUIT` always answer, so an
+//! operator can watch an overloaded daemon drain. The loop is total
 //! over arbitrary bytes: non-UTF-8 input is replaced lossily, unknown
 //! commands and malformed headers answer `ERR` and the loop continues,
 //! garbled source degrades to a compile with diagnostics (the
@@ -69,7 +73,6 @@ impl ToJson for ServiceStats {
             ("rejected", self.rejected.to_json()),
             ("deadline_expired", self.deadline_expired.to_json()),
             ("quarantined", self.quarantined.to_json()),
-            ("degraded", self.degraded.to_json()),
             ("pending_peak", self.pending_peak.to_json()),
             ("quarantined_suites", self.quarantined_suites.to_json()),
             ("result_evictions", self.result_evictions.to_json()),
@@ -368,8 +371,7 @@ mod tests {
     fn overloaded_daemon_rejects_compiles_but_still_reports_health() {
         let service = CompileService::new(ServiceConfig {
             workers: 1,
-            high_watermark: 4,
-            low_watermark: 1,
+            max_pending: 5,
             ..ServiceConfig::default()
         });
         let hold = service.hold_capacity(5);
@@ -394,5 +396,53 @@ mod tests {
         assert_eq!(summary.rejected, 0);
         assert_eq!(summary.compiled, 1, "{}", out);
         assert!(out.contains("\"overloaded\":false"), "{}", out);
+    }
+
+    /// One load signal: at the default bound, one free slot still gets
+    /// a full compile, no free slot gets `REJECTED`, and the flag drops
+    /// the moment a slot frees.
+    #[test]
+    fn daemon_rejects_exactly_when_admission_would_shed() {
+        use apar_core::{Compiler, CompilerProfile};
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let max = service.config().max_pending;
+        let src = "PROGRAM MAIN\nREAL A(10)\nINTEGER I\nDO I = 1, 10\nA(I) = 1.0\nENDDO\nEND\n";
+        let session = format!("SRC a 7\n{src}HEALTH\nQUIT\n");
+        let talk = || {
+            let mut out = Vec::new();
+            serve(&service, session.as_bytes(), &mut out).expect("io");
+            String::from_utf8_lossy(&out).into_owned()
+        };
+
+        let deep = service.hold_capacity(max - 1);
+        let below = talk();
+        assert!(below.contains("\"served\":\"cold\""), "{below}");
+        assert!(below.contains("\"overloaded\":false"), "{below}");
+        let plain = Compiler::new(CompilerProfile::polaris2008())
+            .compile_source_recovering("a", src)
+            .report_signature();
+        let cached = service.compile_one(SuiteRequest::new("a", src));
+        assert_eq!(
+            cached.artifact.signature(),
+            plain,
+            "the held compile was full fidelity"
+        );
+
+        let last = service.hold_capacity(1);
+        let at = talk();
+        assert!(
+            at.contains(&format!("REJECTED overload pending={max}")),
+            "{at}"
+        );
+        assert!(at.contains("\"overloaded\":true"), "{at}");
+        // Back to one free slot, still `max - 1` deep: no hysteresis.
+        drop(last);
+        let after = talk();
+        drop(deep);
+        assert!(after.contains("\"served\":\"hit\""), "{after}");
+        assert!(after.contains("\"overloaded\":false"), "{after}");
     }
 }

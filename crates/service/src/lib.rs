@@ -30,14 +30,15 @@
 //!
 //! Resilience: every request can carry a wall-clock **deadline**
 //! (cooperatively cancelled at pass checkpoints —
-//! [`Served::DeadlineExpired`]); admission is bounded by a pending
-//! queue that sheds the oldest overflow ([`Served::Rejected`]) and a
-//! high/low **watermark** pair whose high mark also **degrades**
-//! compiles to parse-only ([`Served::Degraded`]); and suites whose
-//! builds crash-loop are **quarantined** with strike counting and
-//! exponential backoff ([`Served::Quarantined`]). Only full,
-//! non-degraded responses enter the result cache, so cached answers
-//! stay bit-identical to plain compiles.
+//! [`Served::DeadlineExpired`]). Load has one signal: the pending
+//! queue is bounded by `max_pending`, a batch's overflow is shed
+//! oldest first ([`Served::Rejected`]), and the daemon reports
+//! overload exactly when that bound is reached. Whatever is admitted
+//! runs the full pipeline. A suite whose builds crash
+//! [`QUARANTINE_STRIKES`] times is **quarantined**: refused from a
+//! bounded ledger until it ages out ([`Served::Quarantined`]). Only
+//! complete responses enter the result cache, so cached answers stay
+//! bit-identical to plain compiles.
 
 pub mod daemon;
 pub mod store;
@@ -47,7 +48,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,8 +57,7 @@ use apar_analysis::{LoopRecordStore, LoopStoreStats, SyncLru};
 use apar_core::jsonio::Json;
 use apar_core::pipeline::panic_message;
 use apar_core::{
-    fan_out, CancelToken, CompileResult, Compiler, CompilerProfile, DegradeTier, EmitResult,
-    SplicedLoop,
+    fan_out, CancelToken, CompileResult, Compiler, CompilerProfile, EmitResult, SplicedLoop,
 };
 
 pub use store::{PersistentStore, StoreFaults, StoreStats, Tier};
@@ -105,26 +105,13 @@ pub struct ServiceConfig {
     pub loop_entries: usize,
     /// Suite result cache: maximum retained entries.
     pub result_entries: usize,
-    /// Bounded pending queue: a batch whose compiles would push the
-    /// pending depth past this is shed down to fit, earliest requests
-    /// first — oldest work is most likely to have missed its
-    /// usefulness window ([`Served::Rejected`]).
+    /// Bounded pending queue, and the service's only load signal: a
+    /// batch whose compiles would push the pending depth past this is
+    /// shed down to fit, earliest requests first — oldest work is most
+    /// likely to have missed its usefulness window
+    /// ([`Served::Rejected`]) — and the daemon answers `REJECTED
+    /// overload` while the depth is at it.
     pub max_pending: usize,
-    /// Pending depth at which the service reports overload (daemon
-    /// requests are rejected); compiles admitted past it degrade to
-    /// parse-only.
-    pub high_watermark: usize,
-    /// Pending depth the service must drain to before overload clears
-    /// (hysteresis — the daemon recovers instead of thrashing at the
-    /// boundary).
-    pub low_watermark: usize,
-    /// Failed/panicking compiles of one suite before it is quarantined
-    /// (answered from the ledger without compiling). 0 disables the
-    /// quarantine.
-    pub quarantine_strikes: u32,
-    /// Base quarantine duration in milliseconds; doubles per strike
-    /// past the limit.
-    pub quarantine_backoff_ms: u64,
 }
 
 impl Default for ServiceConfig {
@@ -136,10 +123,6 @@ impl Default for ServiceConfig {
             loop_entries: 2048,
             result_entries: 256,
             max_pending: 64,
-            high_watermark: 48,
-            low_watermark: 24,
-            quarantine_strikes: 3,
-            quarantine_backoff_ms: 250,
         }
     }
 }
@@ -164,12 +147,20 @@ pub enum Served {
     /// The suite is quarantined after repeated failed builds; answered
     /// from the strike ledger without burning the pool.
     Quarantined,
-    /// Compiled at the degraded (parse-only) tier under overload
-    /// pressure. The artifact says which tier. Not cached.
-    Degraded,
 }
 
 impl Served {
+    /// Every class once, in `Served as usize` order: what a per-class
+    /// tally is sized and indexed by.
+    pub const ALL: [Served; 6] = [
+        Served::Cold,
+        Served::CacheHit,
+        Served::Deduped,
+        Served::DeadlineExpired,
+        Served::Rejected,
+        Served::Quarantined,
+    ];
+
     pub fn label(&self) -> &'static str {
         match self {
             Served::Cold => "cold",
@@ -178,7 +169,6 @@ impl Served {
             Served::DeadlineExpired => "expired",
             Served::Rejected => "rejected",
             Served::Quarantined => "quarantined",
-            Served::Degraded => "degraded",
         }
     }
 
@@ -207,11 +197,8 @@ pub enum SuiteArtifact {
         reason: String,
     },
     /// Answered from the suite quarantine ledger: this source has
-    /// failed `strikes` times and its backoff has not lapsed.
-    Quarantined {
-        /// Strikes recorded against the suite.
-        strikes: u32,
-    },
+    /// failed [`QUARANTINE_STRIKES`] times and is still in the ledger.
+    Quarantined,
 }
 
 impl SuiteArtifact {
@@ -222,7 +209,7 @@ impl SuiteArtifact {
             SuiteArtifact::Emitted(e) => Some(&e.result),
             SuiteArtifact::Failed(_)
             | SuiteArtifact::Rejected { .. }
-            | SuiteArtifact::Quarantined { .. } => None,
+            | SuiteArtifact::Quarantined => None,
         }
     }
 
@@ -271,7 +258,8 @@ pub struct ServiceStats {
     pub deadline_expired: usize,
     /// Requests refused by the suite quarantine ledger.
     pub quarantined: usize,
-    /// Requests compiled at a degraded tier.
+    /// Always 0: the service has no degraded tier. Kept only because
+    /// the frozen benchmark crate reads it; it is not on the wire.
     pub degraded: usize,
     /// Deepest the pending queue has ever been (must never exceed
     /// `max_pending` — the chaos harness's bound gate).
@@ -307,70 +295,45 @@ pub struct Batch {
     pub stats: ServiceStats,
 }
 
-/// One suite's strike record in the quarantine ledger.
-#[derive(Clone, Copy, Debug)]
-struct SuiteStrikes {
-    strikes: u32,
-    /// Active quarantine expiry; `None` = probation (strikes kept, one
-    /// compile allowed) or not yet quarantined.
-    until: Option<Instant>,
-}
+/// Failed builds (contained panics) of one suite before it is
+/// quarantined. A compile is a deterministic function of the suite key
+/// (source bytes and profile), so a suite that crashed this often
+/// would crash again: it is refused until the ledger evicts it.
+pub const QUARANTINE_STRIKES: u32 = 3;
 
-/// The bounded suite quarantine ledger (keys are suite keys): strike
-/// counting, exponential backoff and probation. It covers every way a
-/// build can crash-loop — a contained panic in any pass, the facts
-/// build included, strikes the suite that triggered it.
-struct StrikeLedger {
-    records: SyncLru<SuiteStrikes>,
-    /// Failed builds before a suite is quarantined; 0 disables the
-    /// ledger.
-    limit: u32,
-    /// Base quarantine duration; doubles per strike past the limit.
-    backoff: Duration,
-}
+/// The bounded suite quarantine ledger: strikes per suite key. It
+/// covers every way a build can crash-loop — a contained panic in any
+/// pass, the facts build included, strikes the suite that triggered
+/// it.
+struct StrikeLedger(SyncLru<u32>);
 
 impl StrikeLedger {
-    /// `Some(strikes)` while `key`'s quarantine is active; a lapsed
-    /// backoff downgrades to probation (strikes kept, this compile
-    /// allowed).
-    fn check(&self, key: u64) -> Option<u32> {
-        let mut records = self.records.lock();
-        let e = records.get(key)?;
-        if e.until.is_some_and(|t| Instant::now() < t) {
-            return Some(e.strikes);
-        }
-        e.until = None;
-        None
+    /// True once `key` has struck out.
+    fn struck_out(&self, key: u64) -> bool {
+        self.0
+            .lock()
+            .get(key)
+            .is_some_and(|&mut n| n >= QUARANTINE_STRIKES)
     }
 
-    /// Records a failed build (contained panic) against a suite;
-    /// reaching the strike limit quarantines it with exponential
-    /// backoff (doubling per strike past the limit, capped at 1024×).
+    /// Records a failed build against a suite.
     fn strike(&self, key: u64) {
-        if self.limit == 0 {
-            return;
-        }
-        let mut records = self.records.lock();
-        let strikes = records.get(key).map_or(0, |e| e.strikes) + 1;
-        let until = (strikes >= self.limit).then(|| {
-            let exp = (strikes - self.limit).min(10);
-            Instant::now() + self.backoff.saturating_mul(1u32 << exp)
-        });
-        records.insert(key, SuiteStrikes { strikes, until });
+        let mut records = self.0.lock();
+        let strikes = records.get(key).map_or(0, |n| *n) + 1;
+        records.insert(key, strikes);
     }
 
     /// A fully clean compile expunges the suite's strike record.
     fn clear(&self, key: u64) {
-        self.records.lock().remove(key);
+        self.0.lock().remove(key);
     }
 
-    /// Suites currently under active quarantine.
+    /// Suites currently quarantined.
     fn active(&self) -> usize {
-        let now = Instant::now();
-        let records = self.records.lock();
+        let records = self.0.lock();
         records
             .iter()
-            .filter(|(_, e)| e.until.is_some_and(|t| now < t))
+            .filter(|(_, &n)| n >= QUARANTINE_STRIKES)
             .count()
     }
 }
@@ -423,7 +386,7 @@ enum Plan {
 #[derive(Clone, Copy, Default)]
 struct Tally {
     /// Indexed by `Served as usize`.
-    served: [usize; Served::Degraded as usize + 1],
+    served: [usize; Served::ALL.len()],
     /// Requests whose artifact is [`SuiteArtifact::Failed`] (counted
     /// beside their class, not instead of it).
     failed: usize,
@@ -466,9 +429,6 @@ pub struct CompileService {
     /// Compiles admitted (or capacity held) but not yet finished.
     pending: AtomicUsize,
     peak_pending: AtomicUsize,
-    /// Overload hysteresis latch: set at `high_watermark`, cleared only
-    /// once pending drains to `low_watermark`.
-    overload_latch: AtomicBool,
     created: Instant,
     /// Every batch's tally, folded (the daemon's STATS answer).
     lifetime: Mutex<Tally>,
@@ -500,15 +460,10 @@ impl CompileService {
             results: SyncLru::new(config.result_entries),
             store: None,
             // The ledger is bounded like everything else in the service.
-            strikes: StrikeLedger {
-                records: SyncLru::new((config.result_entries * 4).max(64)),
-                limit: config.quarantine_strikes,
-                backoff: Duration::from_millis(config.quarantine_backoff_ms),
-            },
+            strikes: StrikeLedger(SyncLru::new((config.result_entries * 4).max(64))),
             config,
             pending: AtomicUsize::new(0),
             peak_pending: AtomicUsize::new(0),
-            overload_latch: AtomicBool::new(false),
             created: Instant::now(),
             lifetime: Mutex::new(Tally::default()),
         }
@@ -525,21 +480,10 @@ impl CompileService {
         self.peak_pending.load(Ordering::SeqCst)
     }
 
-    /// Overload with hysteresis: latches at `high_watermark`, clears
-    /// only once pending drains to `low_watermark` — the daemon
-    /// recovers instead of thrashing at the boundary.
+    /// True while the pending queue is full: exactly when admission
+    /// would shed the next compile.
     pub fn overloaded(&self) -> bool {
-        let depth = self.pending();
-        let latched = self.overload_latch.load(Ordering::SeqCst);
-        let overloaded = if latched {
-            depth > self.config.low_watermark
-        } else {
-            depth >= self.config.high_watermark
-        };
-        if overloaded != latched {
-            self.overload_latch.store(overloaded, Ordering::SeqCst);
-        }
-        overloaded
+        self.pending() >= self.config.max_pending
     }
 
     /// Occupy `n` pending slots until the returned hold drops — lets
@@ -551,7 +495,7 @@ impl CompileService {
         AdmissionHold { service: self, n }
     }
 
-    /// Suites currently under active quarantine.
+    /// Suites currently quarantined.
     pub fn quarantined_suites(&self) -> usize {
         self.strikes.active()
     }
@@ -711,24 +655,20 @@ impl CompileService {
     }
 
     /// True when the artifact may enter the result cache: a compile
-    /// that ran the full pipeline with no expiry, no degradation and no
-    /// contained panic. Anything else would replay a partial (or
-    /// poisoned) answer forever.
+    /// that ran the full pipeline with no expiry and no contained
+    /// panic. Anything else would replay a partial (or poisoned) answer
+    /// forever.
     fn cacheable(art: &SuiteArtifact) -> bool {
-        art.compile().is_some_and(|r| {
-            !r.report.deadline_expired
-                && r.report.degrade.is_none()
-                && r.report.panicked_loops() == 0
-        })
+        art.compile()
+            .is_some_and(|r| !r.report.deadline_expired && r.report.panicked_loops() == 0)
     }
 
-    /// The class a finished job is served under. Expiry outranks tier
-    /// degradation; a contained panic ([`SuiteArtifact::Failed`]) stays
-    /// in the base class and `failed` counts it beside.
+    /// The class a finished job is served under. A contained panic
+    /// ([`SuiteArtifact::Failed`]) stays in the base class and `failed`
+    /// counts it beside.
     fn classify(art: &SuiteArtifact) -> Served {
         match art.compile() {
             Some(r) if r.report.deadline_expired => Served::DeadlineExpired,
-            Some(r) if r.report.degrade.is_some() => Served::Degraded,
             _ => Served::Cold,
         }
     }
@@ -737,8 +677,8 @@ impl CompileService {
     /// refused from the strike ledger, or a result-cache hit. `None`
     /// means it needs a job.
     fn plan_owner(&self, key: u64) -> Option<Plan> {
-        if let Some(strikes) = self.strikes.check(key) {
-            return Some(Plan::Quarantined(Arc::new(SuiteArtifact::Quarantined { strikes })));
+        if self.strikes.struck_out(key) {
+            return Some(Plan::Quarantined(Arc::new(SuiteArtifact::Quarantined)));
         }
         let tl = Instant::now();
         let hit = self.results.lock().get(key).map(|e| Arc::clone(&e.artifact))?;
@@ -763,9 +703,8 @@ impl CompileService {
     /// Compile a batch: plan every request (refuse quarantined suites
     /// from the ledger, dedupe identical suites, answer repeats from
     /// the result cache, shed what the bounded pending queue cannot
-    /// admit), fan the remaining jobs out across the worker pool (at
-    /// the degradation tier the queue depth demands, under each
-    /// request's deadline), and return one outcome per request in
+    /// admit), fan the remaining jobs out across the worker pool (under
+    /// each request's deadline), and return one outcome per request in
     /// request order plus the batch-scoped stats.
     pub fn compile_many(&self, batch: &[SuiteRequest]) -> Batch {
         let t0 = Instant::now();
@@ -814,13 +753,6 @@ impl CompileService {
             }
         }
 
-        // The admitted depth picks this wave's tier: past the high
-        // watermark, load gets less pipeline, not more queue.
-        let tier = if depth_before + admitted > self.config.high_watermark {
-            DegradeTier::ParseOnly
-        } else {
-            DegradeTier::Full
-        };
         // Deadlines are armed at admission, not at job start: time
         // spent waiting for a worker burns the request's budget, as it
         // would in a real service.
@@ -830,13 +762,13 @@ impl CompileService {
             .collect();
         // Each finished job releases its pending slot immediately.
         let ran: Vec<(Arc<SuiteArtifact>, f64)> = fan_out(jobs.len(), self.config.workers, |j| {
-            let done = self.run_job(&batch[jobs[j]], tokens[j].clone(), tier);
+            let done = self.run_job(&batch[jobs[j]], tokens[j].clone());
             self.pending.fetch_sub(1, Ordering::SeqCst);
             done
         });
 
         // Retain only full-fidelity results — a partial or poisoned
-        // entry would replay its degradation forever — and keep the
+        // entry would replay itself forever — and keep the
         // quarantine ledger current: contained panics strike the suite,
         // clean compiles expunge it.
         for (&i, (art, _)) in jobs.iter().zip(&ran) {
@@ -935,7 +867,7 @@ impl CompileService {
             rejected: of(Served::Rejected),
             deadline_expired: of(Served::DeadlineExpired),
             quarantined: of(Served::Quarantined),
-            degraded: of(Served::Degraded),
+            degraded: 0,
             pending_peak: self.peak_pending(),
             quarantined_suites: self.quarantined_suites(),
             result_evictions: self.results.lock().evictions(),
@@ -955,16 +887,10 @@ impl CompileService {
     /// One compile, sandboxed: the recovering front end makes the
     /// compile total over arbitrary bytes, and `catch_unwind` contains
     /// anything that still escapes so the pool (and the daemon) live on.
-    fn run_job(
-        &self,
-        req: &SuiteRequest,
-        token: Option<CancelToken>,
-        tier: DegradeTier,
-    ) -> (Arc<SuiteArtifact>, f64) {
+    fn run_job(&self, req: &SuiteRequest, token: Option<CancelToken>) -> (Arc<SuiteArtifact>, f64) {
         let t = Instant::now();
-        let mut compiler = Compiler::new(self.config.profile.clone())
-            .with_loop_store(Arc::clone(&self.loops))
-            .with_degrade(tier);
+        let mut compiler =
+            Compiler::new(self.config.profile.clone()).with_loop_store(Arc::clone(&self.loops));
         if let Some(tok) = token {
             compiler = compiler.with_cancel(tok);
         }
@@ -1196,8 +1122,6 @@ END
         let s = CompileService::new(ServiceConfig {
             workers: 1,
             max_pending: 2,
-            high_watermark: 2,
-            low_watermark: 1,
             ..ServiceConfig::default()
         });
         let batch = [
@@ -1220,57 +1144,80 @@ END
     }
 
     #[test]
-    fn held_capacity_degrades_tiers_by_depth() {
+    fn held_capacity_below_the_bound_compiles_at_full_fidelity() {
         let s = CompileService::new(ServiceConfig {
             workers: 1,
             max_pending: 16,
-            high_watermark: 6,
-            low_watermark: 3,
             ..ServiceConfig::default()
         });
-        // Depth 8 > high: parse-only.
+        let plain = Compiler::new(CompilerProfile::polaris2008())
+            .compile_source_recovering("a", SRC)
+            .report_signature();
+        // One slot left: the whole pipeline runs, however deep the
+        // queue, and the answer is the plain compiler's.
         {
-            let _hold = s.hold_capacity(7);
+            let _hold = s.hold_capacity(15);
+            assert!(!s.overloaded());
             let out = s.compile_one(SuiteRequest::new("a", SRC));
-            assert_eq!(out.served, Served::Degraded);
-            let r = out.artifact.compile().expect("degraded report");
-            assert_eq!(r.report.degrade, Some(apar_core::DegradeTier::ParseOnly));
-            assert_eq!(r.loops.len(), 0, "no analysis at parse-only");
-            assert_eq!(r.report.skipped.len(), r.report.loops);
-        }
-        // Depth 5 in (low, high]: still the full pipeline — the low
-        // watermark only releases the overload latch.
-        {
-            let _hold = s.hold_capacity(4);
-            let out = s.compile_one(SuiteRequest::new("b", SRC2));
             assert_eq!(out.served, Served::Cold);
-            assert_eq!(out.artifact.compile().expect("report").report.degrade, None);
+            assert_eq!(out.artifact.signature(), plain);
         }
-        // The degraded answer was not cached and recompiles cold at
-        // full fidelity once the pressure is gone; the full one hits.
+        // No slot left: shed, nothing compiled.
+        {
+            let _hold = s.hold_capacity(16);
+            let out = s.compile_one(SuiteRequest::new("b", SRC2));
+            assert_eq!(out.served, Served::Rejected);
+            assert!(out.artifact.compile().is_none());
+        }
+        // The compile under pressure was a full answer, so it was cached.
         let out = s.compile_many(&[SuiteRequest::new("a", SRC), SuiteRequest::new("b", SRC2)]);
-        assert_eq!(out.outcomes[0].served, Served::Cold);
-        assert_eq!(out.outcomes[1].served, Served::CacheHit);
+        assert_eq!(out.outcomes[0].served, Served::CacheHit);
+        assert_eq!(out.outcomes[1].served, Served::Cold);
     }
 
     #[test]
-    fn overload_latch_clears_only_at_the_low_watermark() {
+    fn overloaded_is_exactly_a_full_pending_queue() {
         let s = CompileService::new(ServiceConfig {
-            high_watermark: 4,
-            low_watermark: 2,
+            max_pending: 4,
             ..ServiceConfig::default()
         });
         assert!(!s.overloaded());
         let h1 = s.hold_capacity(3);
-        let h2 = s.hold_capacity(2);
-        assert!(s.overloaded(), "depth 5 >= high 4 latches");
+        assert!(!s.overloaded(), "depth 3 < 4: a compile would be admitted");
+        let h2 = s.hold_capacity(1);
+        assert!(s.overloaded(), "depth 4: admission would shed");
+        let out = s.compile_one(SuiteRequest::new("a", SRC));
+        assert_eq!(
+            out.served,
+            Served::Rejected,
+            "overloaded() and admit() agree"
+        );
         drop(h2);
-        assert_eq!(s.pending(), 3);
-        assert!(s.overloaded(), "depth 3 > low 2: still latched");
+        assert!(!s.overloaded(), "one free slot clears it: no hysteresis");
         drop(h1);
-        assert!(!s.overloaded(), "drained to 0 <= low 2: clears");
-        assert!(!s.overloaded(), "and stays clear");
-        assert_eq!(s.peak_pending(), 5);
+        assert!(!s.overloaded());
+        assert_eq!(s.peak_pending(), 4);
+    }
+
+    /// `Served::ALL` is what the tally is sized and indexed by: every
+    /// class once, at its own index, under a label of its own. The match
+    /// has no `_` arm, so a new class stops compiling here, next to the
+    /// reminder to list it.
+    #[test]
+    fn served_all_lists_every_class_once() {
+        let mut labels = std::collections::HashSet::new();
+        for (i, class) in Served::ALL.into_iter().enumerate() {
+            match class {
+                Served::Cold
+                | Served::CacheHit
+                | Served::Deduped
+                | Served::DeadlineExpired
+                | Served::Rejected
+                | Served::Quarantined => {}
+            }
+            assert_eq!(class as usize, i, "{class:?} out of place");
+            assert!(labels.insert(class.label()), "{class:?} shares a label");
+        }
     }
 
     /// A loop whose body calls a subroutine: the inliner specializes
@@ -1319,7 +1266,7 @@ END
     }
 
     #[test]
-    fn crash_looping_suite_is_quarantined_then_recovers_after_backoff() {
+    fn crash_looping_suite_stays_quarantined_after_its_strikes() {
         use apar_core::PassId;
         // A crash in the dependence test, and one at the facts stage of
         // a call-bearing loop: the suite ledger is the only guard
@@ -1328,12 +1275,10 @@ END
             let s = CompileService::new(ServiceConfig {
                 workers: 1,
                 profile: CompilerProfile::polaris2008().with_fault(pass, "MAIN", None),
-                quarantine_strikes: 2,
-                quarantine_backoff_ms: 40,
                 ..ServiceConfig::default()
             });
-            // Two contained-panic compiles strike the suite out…
-            for _ in 0..2 {
+            // Every strike is a contained-panic compile…
+            for _ in 0..QUARANTINE_STRIKES {
                 let out = s.compile_one(SuiteRequest::new("bad", src));
                 let r = out.artifact.compile().expect("contained panic");
                 assert!(
@@ -1341,23 +1286,16 @@ END
                     "{pass:?} fault fires and is contained"
                 );
             }
-            // …so the third request is refused from the ledger, costlessly.
-            let refused = s.compile_one(SuiteRequest::new("bad", src));
-            assert_eq!(refused.served, Served::Quarantined, "{pass:?}");
-            assert!(matches!(
-                &*refused.artifact,
-                SuiteArtifact::Quarantined { strikes: 2 }
-            ));
+            // …and after the last one the suite is refused from the
+            // ledger, costlessly and for good: the same key would crash
+            // the same way, so there is no probation compile.
+            for _ in 0..3 {
+                let refused = s.compile_one(SuiteRequest::new("bad", src));
+                assert_eq!(refused.served, Served::Quarantined, "{pass:?}");
+                assert!(matches!(&*refused.artifact, SuiteArtifact::Quarantined));
+            }
             assert_eq!(s.quarantined_suites(), 1);
-            // After the backoff lapses the suite gets a probation compile
-            // (which fails again here, re-arming the quarantine).
-            std::thread::sleep(Duration::from_millis(60));
-            let probation = s.compile_one(SuiteRequest::new("bad", src));
-            assert!(
-                probation.artifact.compile().is_some(),
-                "probation compile actually ran"
-            );
-            assert_eq!(s.quarantined_suites(), 1, "failure re-armed the quarantine");
+            assert_eq!(s.cumulative_stats().cold, QUARANTINE_STRIKES as usize);
             // A healthy suite is unaffected throughout (different unit name
             // dodges the injected fault).
             let healthy = s.compile_one(SuiteRequest::new("good", src.replace("MAIN", "OTHER")));
@@ -1369,8 +1307,6 @@ END
     fn clean_compile_expunges_suite_strikes() {
         let s = CompileService::new(ServiceConfig {
             workers: 1,
-            quarantine_strikes: 2,
-            quarantine_backoff_ms: 10_000,
             ..ServiceConfig::default()
         });
         // One strike by hand, then a clean compile of the same suite.
@@ -1379,30 +1315,9 @@ END
         let out = s.compile_one(SuiteRequest::new("a", SRC));
         assert_eq!(out.served, Served::Cold);
         assert!(
-            s.strikes.records.lock().is_empty(),
+            s.strikes.0.lock().is_empty(),
             "success expunged the strike record"
         );
-    }
-
-    #[test]
-    fn zero_strikes_disables_the_suite_quarantine() {
-        use apar_core::PassId;
-        let s = CompileService::new(ServiceConfig {
-            workers: 1,
-            profile: CompilerProfile::polaris2008().with_fault(
-                PassId::DataDependence,
-                "MAIN",
-                None,
-            ),
-            quarantine_strikes: 0,
-            ..ServiceConfig::default()
-        });
-        for _ in 0..4 {
-            let out = s.compile_one(SuiteRequest::new("bad", SRC));
-            assert_ne!(out.served, Served::Quarantined);
-            assert!(out.artifact.compile().is_some(), "every compile runs");
-        }
-        assert_eq!(s.quarantined_suites(), 0);
     }
 
     #[test]
@@ -1414,13 +1329,16 @@ END
             "\"rejected\":0",
             "\"deadline_expired\":1",
             "\"quarantined\":0",
-            "\"degraded\":0",
             "\"pending_peak\":1",
             "\"quarantined_suites\":0",
             "\"loop_evictions\":0",
         ] {
             assert!(json.contains(field), "{field} missing from {json}");
         }
+        assert!(
+            !json.contains("degraded"),
+            "no degraded tier, no key: {json}"
+        );
     }
 
     /// A distinct healthy one-loop program per tag.
@@ -1428,8 +1346,8 @@ END
         SRC.replace("MAIN", tag)
     }
 
-    /// A service where unit `MAIN` crash-loops into quarantine after
-    /// one strike, with room for `max_pending` compiles at a time.
+    /// A service where unit `MAIN` crash-loops, with room for
+    /// `max_pending` compiles at a time.
     fn plan_service(max_pending: usize) -> CompileService {
         use apar_core::PassId;
         CompileService::new(ServiceConfig {
@@ -1440,10 +1358,6 @@ END
                 None,
             ),
             max_pending,
-            high_watermark: 8,
-            low_watermark: 4,
-            quarantine_strikes: 1,
-            quarantine_backoff_ms: 60_000,
             ..ServiceConfig::default()
         })
     }
@@ -1452,10 +1366,10 @@ END
     fn one_batch_exercises_every_plan_arm() {
         let s = plan_service(2);
         // Warm-up: strike MAIN out, and put WARM in the result cache.
-        s.compile_many(&[
-            SuiteRequest::new("bad", SRC),
-            SuiteRequest::new("warm", src_for("WARM")),
-        ]);
+        s.compile_many(&[SuiteRequest::new("warm", src_for("WARM"))]);
+        for _ in 0..QUARANTINE_STRIKES {
+            s.compile_many(&[SuiteRequest::new("bad", SRC)]);
+        }
         assert_eq!(s.quarantined_suites(), 1);
 
         // Three jobs against two slots: the oldest job is shed.
@@ -1504,7 +1418,7 @@ END
             (2, 2, 2),
             "{st:?}"
         );
-        assert_eq!((st.deadline_expired, st.degraded), (0, 0));
+        assert_eq!(st.deadline_expired, 0);
         assert!(st.pending_peak <= 2);
         assert_eq!(s.pending(), 0, "every admitted slot was released");
     }
@@ -1522,7 +1436,6 @@ END
                 st.rejected,
                 st.deadline_expired,
                 st.quarantined,
-                st.degraded,
             ]
         };
         let batches = [
@@ -1537,17 +1450,19 @@ END
                 SuiteRequest::new("late", src_for("B")).with_deadline(Duration::ZERO),
                 SuiteRequest::new("!panic", src_for("C")),
             ],
+            vec![SuiteRequest::new("bad", SRC)],
             vec![
+                SuiteRequest::new("bad", SRC),
                 SuiteRequest::new("d", src_for("D")),
                 SuiteRequest::new("e", src_for("E")),
                 SuiteRequest::new("f", src_for("F")),
             ],
         ];
-        let mut sum = [0usize; 9];
+        let mut sum = [0usize; 8];
         for (n, batch) in batches.iter().enumerate() {
-            // The last batch runs under held capacity: one job shed,
-            // two admitted past the high watermark.
-            let _hold = (n == 2).then(|| s.hold_capacity(14));
+            // The last batch runs under held capacity (one job shed, two
+            // admitted), after `bad`'s third strike.
+            let _hold = (n == 3).then(|| s.hold_capacity(14));
             let st = s.compile_many(batch).stats;
             assert_eq!(st.suites, batch.len());
             for (total, class) in sum.iter_mut().zip(classes(&st)) {
@@ -1564,8 +1479,6 @@ END
         let s = CompileService::new(ServiceConfig {
             workers: 2,
             max_pending: 4,
-            high_watermark: 8,
-            low_watermark: 4,
             ..ServiceConfig::default()
         });
         // No start barrier: at the parent commit the natural spawn

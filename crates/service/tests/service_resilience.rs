@@ -1,5 +1,5 @@
 //! Resilience through the public API: deadlines, admission control,
-//! quarantine, degraded tiers — and two independent service handles
+//! quarantine — and two independent service handles
 //! sharing one squeezed loop-record store without ever diverging.
 
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use apar_analysis::LoopRecordStore;
 use apar_core::{Compiler, CompilerProfile, PassId};
 use apar_minicheck::fortgen::{gen_program, GenConfig};
 use apar_minicheck::{Rng, BASE_SEED};
-use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest};
+use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest, QUARANTINE_STRIKES};
 use apar_workloads::{perfect, seismic, DataSize, Variant};
 
 fn workload_batch() -> Vec<SuiteRequest> {
@@ -82,8 +82,13 @@ fn two_handles_one_squeezed_store_never_diverge() {
     for (who, service) in [("a", &a), ("b", &b)] {
         let s = service.cumulative_stats();
         assert_eq!(
-            s.cold + s.result_hits + s.deduped + s.failed + s.rejected
-                + s.deadline_expired + s.quarantined + s.degraded,
+            s.cold
+                + s.result_hits
+                + s.deduped
+                + s.failed
+                + s.rejected
+                + s.deadline_expired
+                + s.quarantined,
             s.suites,
             "client {} counters do not reconcile: {:?}",
             who,
@@ -154,40 +159,37 @@ fn expired_request_recovers_once_the_deadline_is_dropped() {
     assert_eq!(got, reference);
 }
 
-/// Held capacity forces the whole resilience surface at once: shed
-/// requests answer `Rejected`, admitted ones compile degraded, and the
-/// overload latch clears only after the hold drains.
+/// Held capacity leaves one slot: the older request is shed with a
+/// structured `Rejected`, the admitted one runs the full pipeline and
+/// matches the plain compiler, and once the hold drains the shed one
+/// compiles too.
 #[test]
-fn held_capacity_sheds_degrades_and_recovers() {
+fn held_capacity_sheds_then_compiles_at_full_fidelity() {
     let service = CompileService::new(ServiceConfig {
         workers: 2,
         max_pending: 4,
-        high_watermark: 3,
-        low_watermark: 2,
         ..ServiceConfig::default()
     });
     let reqs = workload_batch();
+    let reference = plain_signatures(&reqs);
 
     {
         let _hold = service.hold_capacity(3);
-        assert!(service.overloaded());
+        assert!(!service.overloaded(), "one slot is free");
         let out = service.compile_many(&reqs);
-        // Capacity 1: one admitted (degraded by depth), one shed.
+        // Capacity 1: the oldest request is shed, the newest admitted.
         assert_eq!(out.stats.rejected, 1, "{:?}", out.stats);
-        assert_eq!(out.stats.degraded, 1, "{:?}", out.stats);
-        let shed = out
-            .outcomes
-            .iter()
-            .find(|o| o.served == Served::Rejected)
-            .expect("one outcome was shed");
-        assert!(shed.artifact.compile().is_none(), "nothing ran for {}", shed.name);
+        assert_eq!(out.outcomes[0].served, Served::Rejected);
+        assert!(out.outcomes[0].artifact.compile().is_none(), "nothing ran");
+        assert_eq!(out.outcomes[1].served, Served::Cold);
+        assert_eq!(out.outcomes[1].artifact.signature(), reference[1]);
     }
 
-    assert!(!service.overloaded(), "latch clears once the hold drains");
+    assert!(!service.overloaded());
     let out = service.compile_many(&reqs);
     assert_eq!(out.stats.rejected, 0);
-    assert_eq!(out.stats.degraded, 0);
-    let reference = plain_signatures(&reqs);
+    assert_eq!(out.outcomes[0].served, Served::Cold);
+    assert_eq!(out.outcomes[1].served, Served::CacheHit);
     let got: Vec<String> = out
         .outcomes
         .iter()
@@ -206,8 +208,6 @@ fn quarantine_is_per_suite_not_per_service() {
     let service = CompileService::new(ServiceConfig {
         profile,
         workers: 1,
-        quarantine_strikes: 2,
-        quarantine_backoff_ms: 60_000, // no probation within this test
         ..ServiceConfig::default()
     });
 
@@ -217,7 +217,7 @@ fn quarantine_is_per_suite_not_per_service() {
     let bad = SuiteRequest::new("bad", bad_src);
     let good = workload_batch().remove(1);
 
-    for strike in 0..2 {
+    for strike in 0..QUARANTINE_STRIKES {
         let out = service.compile_many(std::slice::from_ref(&bad));
         assert_eq!(out.outcomes[0].served, Served::Cold, "strike {}", strike);
         let r = out.outcomes[0].artifact.compile().expect("contained");
